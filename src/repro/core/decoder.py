@@ -24,6 +24,19 @@ compares against ``rB + tau_r / 2``, which is identical for
 valley-anchored signals and strictly more robust on raw ADC counts with
 a non-zero pedestal (see DESIGN.md Section 5 and the threshold-rule
 ablation bench).
+
+One kernel decodes for every driver.  :func:`decode_rows` takes a stack
+of traces on one sample grid and runs acquisition, clock refinement and
+the decision windows as passes over the whole row stack; every "max/min
+of the smoothed signal inside [a, b)" question is answered through
+shared sparse range-query tables (:mod:`repro.dsp.rmq`).  The serial
+executor, the streaming flush, networked nodes and the analysis sweeps
+reach it through :meth:`AdaptiveThresholdDecoder.decode`, a one-row
+call; the tensor backend hands it whole groups.  A row's result never
+depends on the other rows of its stack.
+
+The decoder's tuning is fixed by the module constants below;
+:class:`DecoderConfig` selects only the threshold rule.
 """
 
 from __future__ import annotations
@@ -36,113 +49,63 @@ import numpy as np
 
 from ..channel.trace import SignalTrace
 from ..dsp.filters import moving_average
-from ..dsp.peaks import Extremum, find_peaks_and_valleys, first_preamble_points
+from ..dsp.peaks import Extremum, _first_triple, _prominent_peaks
+from ..dsp.rmq import build_table, grid_searchsorted, log_table, range_query
 from ..exec.graph import ExecStage, StageTrace, maybe_stage
 from ..tags.encoding import ManchesterError, Symbol, manchester_decode
-from ..tags.packet import PREAMBLE
 from .errors import DecodeError, PreambleNotFoundError
 
 __all__ = ["DecoderConfig", "SymbolWindow", "DecodeResult",
-           "AdaptiveThresholdDecoder"]
+           "AdaptiveThresholdDecoder", "decode_rows", "threshold_level"]
+
+#: Acquisition peak-prominence threshold, relative to the smoothed
+#: trace's peak-to-peak span.
+MIN_PROMINENCE_FRACTION = 0.2
+
+#: Acquisition sanity bound: the candidate preamble's swing (tau_r) must
+#: be at least this fraction of the smoothed trace's range, or the
+#: triple is rejected as noise.  Kept well below 1 because FoV blur
+#: attenuates the preamble's single-symbol peaks relative to
+#: double-HIGH runs in the data field.
+MIN_PREAMBLE_SWING_FRACTION = 0.25
+
+#: Fraction trimmed from *each side* of a decision window before taking
+#: its maximum.  FoV blur makes symbol transitions gradual; a misaligned
+#: full-width window catches the neighbouring HIGH's shoulder and
+#: misreads a LOW.
+WINDOW_SHRINK_FRACTION = 0.22
+
+#: Relative tau_t search range (+-) of the clock refinement.
+CLOCK_SEARCH_SPAN = 0.15
+
+#: Safety cap on emitted symbols in auto-length mode.
+MAX_SYMBOLS = 256
+
+#: The clock refinement's candidate grid: tau_t scales x phase offsets
+#: (in candidate periods).
+_SCALES = np.linspace(1.0 - CLOCK_SEARCH_SPAN, 1.0 + CLOCK_SEARCH_SPAN, 13)
+_REL_DELTAS = np.linspace(-0.35, 0.35, 15)
 
 #: The preamble's known symbol pattern as HIGH flags (H, L, H, L).
 _EXPECTED_HIGH = np.array([True, False, True, False])
 
 
-def _window_slices(times: np.ndarray, starts: np.ndarray,
-                   ends: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                              np.ndarray]:
-    """Sample-index bounds for many ``[start, end)`` time windows.
-
-    Vector form of the bounds used by ``_window_max``/``_window_range``:
-    ``valid`` marks windows containing at least one sample.
-    """
-    i0 = np.searchsorted(times, starts, side="left")
-    i1 = np.searchsorted(times, ends, side="left")
-    return i0, i1, (i1 > i0) & (i0 < len(times))
-
-
-def _segment_reduce(ufunc: np.ufunc, values: np.ndarray, pad: float,
-                    i0: np.ndarray, i1: np.ndarray) -> np.ndarray:
-    """Apply ``ufunc`` over many ``values[i0:i1]`` segments at once.
-
-    Segments are evaluated with one ``ufunc.reduceat`` call on start/end
-    index pairs interleaved into a single index vector (the odd-position
-    results cover the gaps *between* windows and are discarded).  A
-    sentinel ``pad`` element keeps an end index equal to ``len(values)``
-    legal.  Entries for empty segments (``i1 <= i0``) are meaningless —
-    callers must mask them with the ``valid`` flags of
-    :func:`_window_slices`.
-    """
-    if i0.size == 0:
-        return np.empty(i0.shape)
-    padded = np.append(values, pad)
-    idx = np.empty(i0.size * 2, dtype=np.intp)
-    idx[0::2] = i0.ravel()
-    idx[1::2] = i1.ravel()
-    return ufunc.reduceat(padded, idx)[0::2].reshape(i0.shape)
-
-
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Tuning knobs of the adaptive decoder.
+    """Options of the adaptive decoder.
 
     Attributes:
         threshold_rule: ``"midpoint"`` (robust) or ``"paper"`` (literal
             tau_r comparison) — see the module docstring.
-        smoothing_window_s: pre-smoothing moving-average width; None
-            picks a width that suppresses ADC noise without touching
-            the preamble peaks (1/20 of the preamble period estimate is
-            ideal, but the period is unknown before acquisition, so a
-            small fixed fraction of the trace is used).
-        min_prominence_fraction: peak prominence threshold, relative to
-            the trace's peak-to-peak span.
-        max_symbols: safety cap on emitted symbols in auto-length mode.
-        window_shrink_fraction: fraction trimmed from *each side* of a
-            decision window before taking its maximum.  FoV blur makes
-            symbol transitions gradual; a misaligned full-width window
-            catches the neighbouring HIGH's shoulder and misreads a LOW.
-            0 reproduces the paper's literal full-window max.
-        clock_refinement: refine (tau_t, phase) against the known HLHL
-            preamble after the A/B/C estimate.  Peak timestamps on
-            blurred, noisy tops jitter by a few milliseconds; the error
-            accumulates across data windows.  The refinement stays
-            within the paper's constraint — it uses only the fixed
-            preamble, no calibration — and falls back to the raw
-            estimate when no candidate reproduces HLHL.
-        clock_search_span: relative tau_t search range (+-).
-        min_preamble_swing_fraction: acquisition sanity bound — the
-            candidate preamble's swing (tau_r) must be at least this
-            fraction of the trace's full range, or the triple is
-            rejected as noise.  Kept well below 1 because FoV blur
-            attenuates the preamble's single-symbol peaks relative to
-            double-HIGH runs in the data field.
     """
 
     threshold_rule: str = "midpoint"
-    smoothing_window_s: float | None = None
-    min_prominence_fraction: float = 0.2
-    max_symbols: int = 256
-    window_shrink_fraction: float = 0.22
-    clock_refinement: bool = True
-    clock_search_span: float = 0.15
-    min_preamble_swing_fraction: float = 0.25
 
     def __post_init__(self) -> None:
         if self.threshold_rule not in ("midpoint", "paper"):
             raise ValueError(
                 f"threshold_rule must be 'midpoint' or 'paper', "
                 f"got {self.threshold_rule!r}")
-        if not 0.0 < self.min_prominence_fraction < 1.0:
-            raise ValueError("prominence fraction must be in (0, 1)")
-        if self.max_symbols < 1:
-            raise ValueError("max_symbols must be >= 1")
-        if not 0.0 <= self.window_shrink_fraction < 0.5:
-            raise ValueError("window shrink fraction must be in [0, 0.5)")
-        if not 0.0 < self.clock_search_span < 0.5:
-            raise ValueError("clock search span must be in (0, 0.5)")
-        if not 0.0 < self.min_preamble_swing_fraction < 1.0:
-            raise ValueError("preamble swing fraction must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -210,101 +173,6 @@ class AdaptiveThresholdDecoder:
     def __init__(self, config: DecoderConfig | None = None) -> None:
         self.config = config or DecoderConfig()
 
-    # ------------------------------------------------------------------
-    def _smoothing_scales(self, trace: SignalTrace) -> list[int]:
-        """Candidate smoothing windows, finest first."""
-        cfg = self.config
-        if cfg.smoothing_window_s is not None:
-            window = max(1, int(round(cfg.smoothing_window_s
-                                      * trace.sample_rate_hz)))
-            return [window]
-        n = len(trace.samples)
-        scales = [max(3, n // 200), max(5, n // 64), max(7, n // 32)]
-        # Deduplicate while preserving order.
-        out: list[int] = []
-        for s in scales:
-            if s not in out:
-                out.append(s)
-        return out
-
-    def _plausible_preamble(self,
-                            points: tuple[Extremum, Extremum, Extremum],
-                            span: float, noise_sigma: float) -> bool:
-        """Sanity checks that reject noise-triggered anchor triples.
-
-        The preamble's HIGH-LOW swing is the dominant feature of a tag
-        pass, and its two half-periods are equal (constant symbol width
-        and, during the preamble, constant speed): require the swing to
-        be a substantial fraction of the trace range, to clear the raw
-        noise floor, and the A-B / B-C spacings to be consistent.
-        """
-        a, b, c = points
-        tau_r = ((a.value - b.value) + (c.value - b.value)) / 2.0
-        if tau_r < self.config.min_preamble_swing_fraction * span:
-            return False
-        # A real packet's swing towers over the sample-to-sample noise;
-        # smoothed noise wiggles do not.
-        if tau_r < 4.0 * noise_sigma:
-            return False
-        d1 = b.time_s - a.time_s
-        d2 = c.time_s - b.time_s
-        if d1 <= 0.0 or d2 <= 0.0:
-            return False
-        return abs(d1 - d2) <= 0.6 * min(d1, d2)
-
-    def _acquire(self, trace: SignalTrace,
-                 stage_trace: StageTrace | None = None,
-                 ) -> tuple[tuple[Extremum, Extremum, Extremum], np.ndarray]:
-        """Multi-scale preamble acquisition.
-
-        Small signals (Fig. 15's ~15-count swings) need heavier
-        smoothing before their preamble outgrows the noise; clean strong
-        signals must not be over-smoothed or narrow symbols blur away.
-        Scales are tried finest-first and the first plausible triple
-        wins; the accepted smoothed waveform is reused for the decision
-        windows so thresholds and decisions see the same signal.
-
-        When profiled, the smoothing passes count as the ``normalize``
-        stage and the extrema search as ``acquire``.
-
-        Raises:
-            PreambleNotFoundError: when no scale yields a plausible
-                peak-valley-peak triple.
-        """
-        last_reason = "trace is constant; no preamble"
-        raw = np.asarray(trace.samples, dtype=float)
-        if len(raw) == 0:
-            # Streaming probes degenerate windows (empty suffixes,
-            # sub-symbol fragments); acquisition must answer "no
-            # preamble", not crash on an empty max().
-            raise PreambleNotFoundError("empty trace; no preamble")
-        if len(raw) > 3:
-            noise_sigma = float(np.std(np.diff(raw))) / math.sqrt(2.0)
-        else:
-            noise_sigma = 0.0
-        for window in self._smoothing_scales(trace):
-            with maybe_stage(stage_trace, ExecStage.NORMALIZE):
-                smooth = moving_average(trace.samples, window)
-            with maybe_stage(stage_trace, ExecStage.ACQUIRE):
-                span = float(smooth.max() - smooth.min())
-                if span <= 0.0:
-                    continue
-                extrema = find_peaks_and_valleys(
-                    smooth, trace.sample_rate_hz, trace.start_time_s,
-                    min_prominence=(self.config.min_prominence_fraction
-                                    * span))
-                points = first_preamble_points(extrema)
-                if points is None:
-                    last_reason = (f"no peak-valley-peak pattern among "
-                                   f"{len(extrema)} extrema")
-                    continue
-                if not self._plausible_preamble(points, span, noise_sigma):
-                    last_reason = ("candidate preamble rejected: swing, "
-                                   "noise floor or spacing implausible")
-                    continue
-                return points, smooth
-        raise PreambleNotFoundError(last_reason)
-
     def acquire_preamble(self, trace: SignalTrace,
                          ) -> tuple[Extremum, Extremum, Extremum]:
         """Find the A/B/C anchor points of the preamble.
@@ -313,8 +181,17 @@ class AdaptiveThresholdDecoder:
             PreambleNotFoundError: when no peak-valley-peak triple with
                 sufficient prominence exists.
         """
-        points, _ = self._acquire(trace)
-        return points
+        raw, t0, fs = _row_stack([trace])
+        got = _acquire_rows(raw, t0, fs)[0]
+        if not isinstance(got, PreambleNotFoundError):
+            return got[0]
+        try:
+            raise got
+        finally:
+            # A local bound to the raised error closes a frame -> error
+            # -> traceback -> frame cycle that only the cyclic collector
+            # frees; streaming acquisition raises on most chunks.
+            del got
 
     @staticmethod
     def thresholds(points: tuple[Extremum, Extremum, Extremum],
@@ -323,316 +200,477 @@ class AdaptiveThresholdDecoder:
         a, b, c = points
         tau_r = ((a.value - b.value) + (c.value - b.value)) / 2.0
         tau_t = ((b.time_s - a.time_s) + (c.time_s - b.time_s)) / 2.0
-        if tau_r <= 0.0:
+        if tau_r <= 0.0 or tau_t <= 0.0:
             raise PreambleNotFoundError(
-                f"non-positive magnitude threshold tau_r={tau_r:.3g}; "
+                f"non-positive tau_r={tau_r:.3g} or tau_t={tau_t:.3g}; "
                 "anchor points are not a real peak-valley-peak triple")
-        if tau_t <= 0.0:
-            raise PreambleNotFoundError(
-                f"non-positive period tau_t={tau_t:.3g}")
         return tau_r, tau_t
 
-    def _threshold_level(self, tau_r: float, valley_value: float) -> float:
-        if self.config.threshold_rule == "paper":
-            return tau_r
-        return valley_value + tau_r / 2.0
-
-    def _window_max(self, smooth: np.ndarray, times: np.ndarray,
-                    w_start: float, w_end: float) -> float | None:
-        """Max of the smoothed signal in [w_start, w_end), or None."""
-        i0 = int(np.searchsorted(times, w_start, side="left"))
-        i1 = int(np.searchsorted(times, w_end, side="left"))
-        if i1 <= i0 or i0 >= len(smooth):
-            return None
-        return float(smooth[i0:i1].max())
-
-    def _window_range(self, smooth: np.ndarray, times: np.ndarray,
-                      w_start: float, w_end: float) -> float | None:
-        """Peak-to-peak excursion inside [w_start, w_end), or None."""
-        i0 = int(np.searchsorted(times, w_start, side="left"))
-        i1 = int(np.searchsorted(times, w_end, side="left"))
-        if i1 <= i0 or i0 >= len(smooth):
-            return None
-        segment = smooth[i0:i1]
-        return float(segment.max() - segment.min())
-
-    def _refine_clock(self, smooth: np.ndarray, times: np.ndarray,
-                      points: tuple[Extremum, Extremum, Extremum],
-                      tau_t: float, tau_r: float, level: float,
-                      n_data_symbols: int | None = None,
-                      ) -> tuple[float, float]:
-        """Search (tau_t, phase) that best reproduces the HLHL preamble.
-
-        Candidates are scored on two terms using only per-packet
-        information:
-
-        * the worst signed margin of the four *preamble* windows against
-          their known HLHL pattern (must be positive);
-        * the *flatness* of the data windows — the payload is unknown,
-          but under the correct clock each (shrunk) window sits inside
-          one symbol where the signal is locally flat, while a drifting
-          clock centres symbol transitions inside windows, inflating
-          their internal peak-to-peak excursion.
-
-        The whole scale x delta x window search is evaluated as one
-        broadcast tensor (window extrema via ``_segment_reduce``); it
-        returns bit-identical results to the literal triple loop kept
-        as :meth:`_refine_clock_reference`.
-
-        Returns:
-            ``(tau_t, anchor)`` where ``anchor`` is the start time of
-            preamble symbol 1; data windows begin at ``anchor + 4 tau_t``.
-        """
-        base_anchor = points[0].time_s - 0.5 * tau_t
-        span = self.config.clock_search_span
-        n_probe = min(n_data_symbols if n_data_symbols else 8, 12)
-
-        scales = np.linspace(1.0 - span, 1.0 + span, 13)
-        rel_deltas = np.linspace(-0.35, 0.35, 15)
-        cand_tau = tau_t * scales
-        shrink = self.config.window_shrink_fraction * cand_tau
-        anchors = base_anchor + rel_deltas[None, :] * cand_tau[:, None]
-
-        tau_c = cand_tau[:, None, None]
-        shrink_c = shrink[:, None, None]
-        anchor_c = anchors[:, :, None]
-
-        # Preamble windows k = 0..3, expected H, L, H, L: the candidate
-        # survives only when every window exists and every margin
-        # against `level` is positive.
-        ks = np.arange(4.0)
-        i0, i1, valid = _window_slices(
-            times, anchor_c + ks * tau_c + shrink_c,
-            anchor_c + (ks + 1.0) * tau_c - shrink_c)
-        w_max = _segment_reduce(np.maximum, smooth, -np.inf, i0, i1)
-        margins = np.where(_EXPECTED_HIGH, w_max - level, level - w_max)
-        min_margin = margins.min(axis=-1)
-        ok = valid.all(axis=-1) & (min_margin > 0.0)
-        if not ok.any():
-            return tau_t, base_anchor
-
-        # Data-window roughness: mean internal peak-to-peak excursion of
-        # the probe windows before the first one falling off the trace.
-        data_start = anchor_c + 4.0 * tau_c
-        kd = np.arange(float(max(n_probe, 0)))
-        j0, j1, d_valid = _window_slices(
-            times, data_start + kd * tau_c + shrink_c,
-            data_start + (kd + 1.0) * tau_c - shrink_c)
-        seg_max = _segment_reduce(np.maximum, smooth, -np.inf, j0, j1)
-        seg_min = _segment_reduce(np.minimum, smooth, np.inf, j0, j1)
-        ranges = np.where(d_valid, seg_max - seg_min, 0.0)
-        counts = np.cumprod(d_valid, axis=-1).sum(axis=-1)
-        roughness = np.zeros(ok.shape)
-        # Group candidates by probe count so each group's mean reduces
-        # over a contiguous prefix — the same summation np.mean performs
-        # in the reference loop, keeping scores bit-identical.
-        for count in np.unique(counts):
-            if count < 1:
-                continue
-            sel = counts == count
-            roughness[sel] = np.mean(ranges[..., :int(count)],
-                                     axis=-1)[sel]
-
-        # All terms normalised by tau_r so the deviation penalty has a
-        # consistent meaning across signal amplitudes.
-        score = (min_margin / tau_r
-                 - 0.5 * roughness / tau_r
-                 - 0.9 * np.abs(scales - 1.0)[:, None]
-                 - 0.25 * np.abs(rel_deltas)[None, :])
-        score = np.where(ok, score, -np.inf)
-        s_idx, d_idx = np.unravel_index(int(np.argmax(score)), score.shape)
-        return float(cand_tau[s_idx]), float(anchors[s_idx, d_idx])
-
-    def _refine_clock_reference(self, smooth: np.ndarray, times: np.ndarray,
-                                points: tuple[Extremum, Extremum, Extremum],
-                                tau_t: float, tau_r: float, level: float,
-                                n_data_symbols: int | None = None,
-                                ) -> tuple[float, float]:
-        """The literal scale x delta x window triple loop.
-
-        Kept as the readable oracle for :meth:`_refine_clock`; the
-        equivalence suite asserts both return identical values.
-        """
-        a = points[0]
-        base_anchor = a.time_s - 0.5 * tau_t
-        shrink_frac = self.config.window_shrink_fraction
-        span = self.config.clock_search_span
-        expected_high = (True, False, True, False)
-        n_probe = min(n_data_symbols if n_data_symbols else 8, 12)
-        best: tuple[float, float] | None = None
-        best_score = -np.inf
-        for scale in np.linspace(1.0 - span, 1.0 + span, 13):
-            cand_tau = tau_t * scale
-            shrink = shrink_frac * cand_tau
-            for rel_delta in np.linspace(-0.35, 0.35, 15):
-                anchor = base_anchor + rel_delta * cand_tau
-                margins: list[float] = []
-                for k, is_high in enumerate(expected_high):
-                    w_max = self._window_max(
-                        smooth, times,
-                        anchor + k * cand_tau + shrink,
-                        anchor + (k + 1) * cand_tau - shrink)
-                    if w_max is None:
-                        margins = []
-                        break
-                    margins.append(w_max - level if is_high
-                                   else level - w_max)
-                if not margins or min(margins) <= 0.0:
-                    continue
-                ranges: list[float] = []
-                data_start = anchor + 4.0 * cand_tau
-                for k in range(n_probe):
-                    w_range = self._window_range(
-                        smooth, times,
-                        data_start + k * cand_tau + shrink,
-                        data_start + (k + 1) * cand_tau - shrink)
-                    if w_range is None:
-                        break
-                    ranges.append(w_range)
-                roughness = float(np.mean(ranges)) if ranges else 0.0
-                # All terms normalised by tau_r so the deviation penalty
-                # has a consistent meaning across signal amplitudes.
-                score = (min(margins) / tau_r
-                         - 0.5 * roughness / tau_r
-                         - 0.9 * abs(scale - 1.0)
-                         - 0.25 * abs(rel_delta))
-                if score > best_score:
-                    best_score = score
-                    best = (cand_tau, anchor)
-        if best is None:
-            return tau_t, base_anchor
-        return best
-
-    # ------------------------------------------------------------------
     def decode(self, trace: SignalTrace,
                n_data_symbols: int | None = None,
                stage_trace: StageTrace | None = None) -> DecodeResult:
-        """Decode one packet from an RSS trace.
+        """Decode one packet from an RSS trace (a one-row
+        :func:`decode_rows` call).
 
         Args:
             trace: the captured RSS stream (raw counts or normalised —
                 the thresholds adapt either way).
             n_data_symbols: expected number of data symbols (2N for an
-                N-bit payload).  None switches to auto-length mode:
-                windows are consumed until the trace ends, then trailing
-                LOW windows (the empty ground after the tag) are
-                trimmed and the count is rounded down to even.
-            stage_trace: optional per-stage instrumentation sink; when
-                given, smoothing/acquisition/clock-refinement/decision
-                wall time is attributed to the corresponding
-                :class:`~repro.exec.ExecStage`.  Never changes the
-                decode result.
+                N-bit payload); None switches to auto-length mode.
+            stage_trace: optional per-stage instrumentation sink (see
+                :func:`decode_rows`).
 
         Raises:
             PreambleNotFoundError: when acquisition fails.
             DecodeError: when no decision windows fit in the trace.
         """
-        points, smooth = self._acquire(trace, stage_trace=stage_trace)
-        with maybe_stage(stage_trace, ExecStage.ACQUIRE):
-            tau_r, tau_t = self.thresholds(points)
-            a, b, c = points
-            level = self._threshold_level(tau_r, b.value)
-            times = trace.times()
+        result = decode_rows([trace], n_data_symbols, self.config,
+                             stage_trace)[0]
+        if isinstance(result, DecodeResult):
+            return result
+        try:
+            raise result
+        finally:
+            del result  # no frame -> error cycle (see acquire_preamble)
 
-        if self.config.clock_refinement:
-            with maybe_stage(stage_trace, ExecStage.REFINE_CLOCK):
-                tau_t, anchor = self._refine_clock(
-                    smooth, times, points, tau_t, tau_r, level,
-                    n_data_symbols=n_data_symbols)
-        else:
-            anchor = a.time_s - 0.5 * tau_t
-        with maybe_stage(stage_trace, ExecStage.DECIDE):
-            return self._decide(trace, smooth, times, points, tau_r, tau_t,
-                                level, anchor, n_data_symbols)
 
-    def _decide(self, trace: SignalTrace, smooth: np.ndarray,
-                times: np.ndarray,
-                points: tuple[Extremum, Extremum, Extremum],
-                tau_r: float, tau_t: float, level: float, anchor: float,
-                n_data_symbols: int | None) -> DecodeResult:
-        """Decision windows -> symbols -> payload (the ``decide`` stage)."""
-        # The preamble occupies symbols 1-4 from the anchor; data follows.
-        data_start = anchor + 4.0 * tau_t
-        if n_data_symbols is not None:
-            if n_data_symbols < 1:
-                raise ValueError("n_data_symbols must be >= 1")
-            n_windows = n_data_symbols
-        else:
-            remaining = times[-1] - data_start
-            n_windows = min(self.config.max_symbols,
-                            int(np.floor(remaining / tau_t)))
-        if n_windows < 1:
-            raise DecodeError(
-                "no decision windows fit between the preamble and the "
-                "end of the trace")
+# ----------------------------------------------------------------------
+# The decode kernel
+# ----------------------------------------------------------------------
 
-        shrink = self.config.window_shrink_fraction * tau_t
-        ks = np.arange(float(n_windows))
-        w_starts = data_start + ks * tau_t
-        w_ends = w_starts + tau_t
-        i0, i1, valid = _window_slices(times, w_starts + shrink,
-                                       w_ends - shrink)
-        # Windows are consumed in order until the first one falls off
-        # the trace.
-        n_good = int(np.cumprod(valid).sum())
-        windows: list[SymbolWindow] = []
-        if n_good:
-            maxima = _segment_reduce(np.maximum, smooth, -np.inf,
-                                     i0[:n_good], i1[:n_good])
-            for k in range(n_good):
-                w_max = float(maxima[k])
-                symbol = Symbol.HIGH if w_max > level else Symbol.LOW
-                windows.append(SymbolWindow(float(w_starts[k]),
-                                            float(w_ends[k]),
-                                            w_max, symbol))
-        if not windows:
-            raise DecodeError("all decision windows fell outside the trace")
+def decode_rows(traces: list[SignalTrace],
+                n_data_symbols: int | None = None,
+                config: DecoderConfig | None = None,
+                stage_trace: StageTrace | None = None,
+                ) -> list[DecodeResult | PreambleNotFoundError | DecodeError]:
+    """Decode every trace of a same-grid stack, one result per row.
 
-        symbols = [w.symbol for w in windows]
+    Args:
+        traces: traces sharing one sample grid (length, rate and start
+            time).
+        n_data_symbols: expected number of data symbols (2N for an
+            N-bit payload).  None switches to auto-length mode: windows
+            are consumed until the trace ends (at most
+            :data:`MAX_SYMBOLS`), then trailing LOW windows (the empty
+            ground after the tag) are trimmed and the count is rounded
+            up to even with a LOW pad.
+        config: decoder options (the threshold rule).
+        stage_trace: optional per-stage instrumentation sink; smoothing,
+            acquisition, clock refinement and decision wall time are
+            attributed to the corresponding :class:`~repro.exec.ExecStage`
+            for the whole stack.  Never changes a result.
+
+    Returns:
+        Per row, the :class:`DecodeResult`, or the
+        :class:`PreambleNotFoundError` / :class:`DecodeError` that row's
+        decode ended with (returned, not raised).
+
+    Raises:
+        ValueError: when the traces are not on one sample grid, or
+            ``n_data_symbols < 1``.
+    """
+    cfg = config or DecoderConfig()
+    if n_data_symbols is not None and n_data_symbols < 1:
+        raise ValueError("n_data_symbols must be >= 1")
+    if not traces:
+        return []
+    raw, t0, fs = _row_stack(traces)
+    results: list = _acquire_rows(raw, t0, fs, stage_trace)
+
+    with maybe_stage(stage_trace, ExecStage.ACQUIRE):
+        live = [ridx for ridx, got in enumerate(results)
+                if not isinstance(got, PreambleNotFoundError)]
+        if not live:
+            return results
+        points = [results[ridx][0] for ridx in live]
+        # The plausibility gates of ``_scan`` already guarantee
+        # tau_r > 0 and tau_t > 0, so no acquired triple is rejected.
+        tau_r, tau_t = np.array(
+            [AdaptiveThresholdDecoder.thresholds(p) for p in points]).T
+        level = np.array([threshold_level(cfg.threshold_rule, swing,
+                                          p[1].value)
+                          for swing, p in zip(tau_r, points)])
+        base_anchor = np.array([p[0].time_s for p in points]) - 0.5 * tau_t
+        times = t0 + np.arange(raw.shape[1]) / fs
+        tables = _range_tables(
+            np.stack([results[ridx][1] for ridx in live]), tau_t, fs)
+
+    with maybe_stage(stage_trace, ExecStage.REFINE_CLOCK):
+        n_probe = min(n_data_symbols if n_data_symbols else 8, 12)
+        tau_t, anchor = _refine_clock(times, t0, fs, tables, base_anchor,
+                                      tau_t, tau_r, level, n_probe)
+
+    with maybe_stage(stage_trace, ExecStage.DECIDE):
+        decided = _decide(times, t0, fs, tables, points, tau_r, tau_t,
+                          level, anchor, n_data_symbols)
+        for ridx, result in zip(live, decided):
+            results[ridx] = result
+    return results
+
+
+def threshold_level(rule: str, tau_r: float, valley_value: float) -> float:
+    """Absolute HIGH/LOW decision level under a threshold rule (see the
+    module docstring)."""
+    if rule == "paper":
+        return tau_r
+    return valley_value + tau_r / 2.0
+
+
+def _row_stack(traces: list[SignalTrace]) -> tuple[np.ndarray, float,
+                                                     float]:
+    """``(R, T)`` float stack of same-grid traces, plus the grid's
+    start time and sample rate."""
+    first = traces[0]
+    grids = {(len(t.samples), t.sample_rate_hz, t.start_time_s)
+             for t in traces}
+    if len(grids) > 1:
+        raise ValueError("decode_rows needs traces on one sample grid "
+                         "(same length, sample rate and start time)")
+    raw = np.stack([np.asarray(t.samples, dtype=float) for t in traces])
+    return raw, first.start_time_s, first.sample_rate_hz
+
+
+def _smoothing_scales(n: int) -> list[int]:
+    """Candidate moving-average widths for an n-sample trace, finest
+    first (deduplicated).
+
+    1/20 of the preamble period would suppress ADC noise without
+    touching the preamble peaks, but the period is unknown before
+    acquisition, so small fixed fractions of the trace are tried.
+    """
+    return list(dict.fromkeys(
+        (max(3, n // 200), max(5, n // 64), max(7, n // 32))))
+
+
+def _scan(smooth: np.ndarray, t0: float, fs: float, noise_sigma: float,
+          ) -> tuple[Extremum, Extremum, Extremum] | str | None:
+    """One acquisition attempt on one smoothed row.
+
+    Returns the A/B/C anchor points, the reason the candidate failed,
+    or None when the row has no usable span at this scale.
+
+    The plausibility gates reject noise-triggered triples: the
+    preamble's HIGH-LOW swing is the dominant feature of a tag pass,
+    and its two half-periods are equal (constant symbol width and,
+    during the preamble, constant speed).  So the swing must be a
+    substantial fraction of the trace range and clear the raw noise
+    floor, and the A-B / B-C spacings must be consistent.
+    """
+    span = float(smooth.max() - smooth.min())
+    if not span > 0.0 or not np.isfinite(span) or len(smooth) < 3:
+        return None
+    prominence = MIN_PROMINENCE_FRACTION * span
+    pk = _prominent_peaks(smooth, prominence, None)
+    if len(pk) < 2:
+        return "fewer than two prominent peaks; no peak-valley-peak pattern"
+    vl = _prominent_peaks(-smooth, prominence, None)
+    idx = np.concatenate([pk, vl])
+    order = np.argsort(idx, kind="stable")
+    idx = idx[order]
+    is_peak = order < len(pk)
+    val = smooth[idx]
+    triple = _first_triple(val, is_peak)
+    if triple is None:
+        return f"no peak-valley-peak pattern among {len(idx)} extrema"
+    ja, jb, jc = triple
+    times = t0 + idx / fs
+    av, bv, cv = float(val[ja]), float(val[jb]), float(val[jc])
+    tau_r = ((av - bv) + (cv - bv)) / 2.0
+    d1 = times[jb] - times[ja]
+    d2 = times[jc] - times[jb]
+    # A real packet's swing towers over the sample-to-sample noise;
+    # smoothed noise wiggles do not.
+    if (tau_r < MIN_PREAMBLE_SWING_FRACTION * span
+            or tau_r < 4.0 * noise_sigma
+            or d1 <= 0.0 or d2 <= 0.0
+            or abs(d1 - d2) > 0.6 * min(d1, d2)):
+        return ("candidate preamble rejected: swing, noise floor or "
+                "spacing implausible")
+    return tuple(Extremum(int(idx[j]), times[j], float(val[j]),
+                          "peak" if is_peak[j] else "valley")
+                 for j in triple)
+
+
+def _acquire_rows(raw: np.ndarray, t0: float, fs: float,
+                  stage_trace: StageTrace | None = None) -> list:
+    """Multi-scale preamble acquisition for every row of ``raw``.
+
+    Small signals (Fig. 15's ~15-count swings) need heavier smoothing
+    before their preamble outgrows the noise; clean strong signals must
+    not be over-smoothed or narrow symbols blur away.  Scales are tried
+    finest-first and a row's first plausible triple wins; the accepted
+    smoothed waveform is reused for the decision windows so thresholds
+    and decisions see the same signal.  scipy's C peak routines beat
+    any vectorised reformulation at this trace length, so each pending
+    row runs its own peak search per scale; full :class:`Extremum`
+    objects exist only for accepted anchor points.
+
+    When profiled, the smoothing passes count as ``normalize`` and
+    everything else (noise floor, peak search, triple scan,
+    plausibility) as ``acquire``.
+
+    Returns:
+        Per row, ``(points, smooth)`` or the
+        :class:`PreambleNotFoundError` explaining the miss.
+    """
+    n_rows, n = raw.shape
+    if n == 0:
+        # Streaming probes degenerate windows (empty suffixes,
+        # sub-symbol fragments); acquisition must answer "no preamble",
+        # not crash on an empty max().
+        return [PreambleNotFoundError("empty trace; no preamble")
+                for _ in range(n_rows)]
+    with maybe_stage(stage_trace, ExecStage.ACQUIRE):
+        # A last-axis reduction over a C-contiguous stack applies the
+        # same pairwise summation to each row's buffer as the 1-D
+        # reduction of that row alone.
+        noise_sigma = (np.std(np.diff(raw, axis=1), axis=1) / math.sqrt(2.0)
+                       if n > 3 else np.zeros(n_rows))
+    reasons = ["trace is constant; no preamble"] * n_rows
+    out: list = [None] * n_rows
+    pending = list(range(n_rows))
+    for window in _smoothing_scales(n):
+        still: list[int] = []
+        for ridx in pending:
+            with maybe_stage(stage_trace, ExecStage.NORMALIZE):
+                smooth = moving_average(raw[ridx], window)
+            with maybe_stage(stage_trace, ExecStage.ACQUIRE):
+                got = _scan(smooth, t0, fs, float(noise_sigma[ridx]))
+            if isinstance(got, tuple):
+                out[ridx] = (got, smooth)
+                continue
+            if got is not None:
+                reasons[ridx] = got
+            still.append(ridx)
+        pending = still
+        if not pending:
+            break
+    for ridx in pending:
+        out[ridx] = PreambleNotFoundError(reasons[ridx])
+    return out
+
+
+def _range_tables(smooths: np.ndarray, tau_t: np.ndarray,
+                  fs: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sparse max/min tables over the smoothed rows, plus the log table.
+
+    The longest range any query can ask for is one symbol window at the
+    widest refinement candidate, in samples; levels beyond that are
+    never touched, so the tables stop there (an underestimate would
+    fault in ``range_query``, never answer wrongly).
+    """
+    smooths = np.ascontiguousarray(smooths)
+    wide = (1.0 + CLOCK_SEARCH_SPAN) * (1.0 + 2.0 * WINDOW_SHRINK_FRACTION)
+    lmax = int(np.ceil(float(tau_t.max()) * wide * fs)) + 4
+    return (build_table(smooths, np.maximum, max_len=lmax),
+            build_table(smooths, np.minimum, max_len=lmax),
+            log_table(smooths.shape[1]))
+
+
+def _masked_query(table: np.ndarray, log: np.ndarray, op: np.ufunc,
+                  rows: np.ndarray, i0: np.ndarray, i1: np.ndarray,
+                  valid: np.ndarray) -> np.ndarray:
+    """Range-query ``[i0, i1)`` where ``valid``; junk elsewhere."""
+    qa = np.where(valid, i0, 0)
+    qb = np.where(valid, i1, 1)
+    return range_query(table, log, op, rows, qa, qb)
+
+
+def _windowed_max(times: np.ndarray, t0: float, fs: float,
+                  tables: tuple, starts: np.ndarray,
+                  ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max of the smoothed rows over ``[start, end)`` windows.
+
+    The leading axis of ``starts``/``ends`` is the row (row ``r``
+    queries its own smoothed signal).  Returns ``(maxima, valid)``,
+    ``valid`` marking windows that hold at least one sample; maxima of
+    invalid windows are junk.
+    """
+    i0, i1 = grid_searchsorted(times, t0, fs, np.stack((starts, ends)))
+    valid = (i1 > i0) & (i0 < len(times))
+    rows = np.broadcast_to(
+        np.arange(len(starts)).reshape((-1,) + (1,) * (valid.ndim - 1)),
+        valid.shape)
+    return (_masked_query(tables[0], tables[2], np.maximum, rows, i0, i1,
+                          valid), valid)
+
+
+def _refine_clock(times: np.ndarray, t0: float, fs: float, tables: tuple,
+                  base_anchor: np.ndarray, tau_t: np.ndarray,
+                  tau_r: np.ndarray, level: np.ndarray,
+                  n_probe: int) -> tuple[np.ndarray, np.ndarray]:
+    """Search (tau_t, phase) that best reproduces the HLHL preamble.
+
+    Peak timestamps on blurred, noisy tops jitter by a few
+    milliseconds, and the error accumulates across data windows, so the
+    A/B/C estimate is refined against the known preamble.  This stays
+    within the paper's constraint — it uses only the fixed preamble, no
+    calibration — and keeps the raw estimate when no candidate
+    reproduces HLHL.  Candidates are scored on two terms using only
+    per-packet information:
+
+    * the worst signed margin of the four *preamble* windows against
+      their known HLHL pattern (must be positive);
+    * the *flatness* of the data windows — the payload is unknown, but
+      under the correct clock each (shrunk) window sits inside one
+      symbol where the signal is locally flat, while a drifting clock
+      centres symbol transitions inside windows, inflating their
+      internal peak-to-peak excursion.
+
+    The scale x delta x window search is evaluated for every row at
+    once; data roughness is computed only for candidates that survive
+    the preamble-margin test (rejected candidates score ``-inf``).
+
+    Returns:
+        Per-row ``(tau_t, anchor)``, where ``anchor`` is the start time
+        of preamble symbol 1; data windows begin at ``anchor + 4 tau_t``.
+    """
+    tmax, tmin, log = tables
+    rows, n = len(tau_t), len(times)
+    cand_tau = tau_t[:, None] * _SCALES[None, :]                # (R, 13)
+    shrink = WINDOW_SHRINK_FRACTION * cand_tau
+    anchors = (base_anchor[:, None, None]
+               + _REL_DELTAS[None, None, :] * cand_tau[:, :, None])
+
+    tau_c = cand_tau[:, :, None, None]
+    shrink_c = shrink[:, :, None, None]
+    anchor_c = anchors[:, :, :, None]
+
+    # Preamble windows k = 0..3, expected H, L, H, L: the candidate
+    # survives only when every window exists and every margin against
+    # `level` is positive.
+    ks = np.arange(4.0)
+    w_max, valid = _windowed_max(times, t0, fs, tables,
+                                 anchor_c + ks * tau_c + shrink_c,
+                                 anchor_c + (ks + 1.0) * tau_c - shrink_c)
+    level_c = level[:, None, None, None]
+    margins = np.where(_EXPECTED_HIGH, w_max - level_c, level_c - w_max)
+    min_margin = margins.min(axis=-1)
+    ok = valid.all(axis=-1) & (min_margin > 0.0)
+
+    out_tau = tau_t.copy()
+    out_anchor = base_anchor.copy()
+    okr, oks, okd = np.nonzero(ok)
+    if len(okr) == 0:
+        return out_tau, out_anchor
+
+    # Data-window roughness: mean internal peak-to-peak excursion of
+    # the probe windows before the first one falling off the trace.
+    dtau = cand_tau[okr, oks]
+    dshrink = shrink[okr, oks]
+    data_start = anchors[okr, oks, okd] + 4.0 * dtau
+    kd = np.arange(float(max(n_probe, 0)))
+    j0, j1 = grid_searchsorted(times, t0, fs, np.stack(
+        (data_start[:, None] + kd * dtau[:, None] + dshrink[:, None],
+         data_start[:, None] + (kd + 1.0) * dtau[:, None]
+         - dshrink[:, None])))
+    d_valid = (j1 > j0) & (j0 < n)
+    rows_d = np.broadcast_to(okr[:, None], d_valid.shape)
+    seg_max = _masked_query(tmax, log, np.maximum, rows_d, j0, j1, d_valid)
+    seg_min = _masked_query(tmin, log, np.minimum, rows_d, j0, j1, d_valid)
+    ranges = np.where(d_valid, seg_max - seg_min, 0.0)
+    counts = np.cumprod(d_valid, axis=-1).sum(axis=-1)
+    roughness = np.zeros(len(okr))
+    # Group candidates by probe count so each group's mean reduces over
+    # a contiguous prefix — the summation order of a plain np.mean over
+    # that candidate's probe windows.
+    for count in np.unique(counts):
+        if count < 1:
+            continue
+        sel = counts == count
+        roughness[sel] = np.mean(ranges[:, :int(count)], axis=-1)[sel]
+
+    # All terms normalised by tau_r so the deviation penalty has a
+    # consistent meaning across signal amplitudes.
+    score = (min_margin[okr, oks, okd] / tau_r[okr]
+             - 0.5 * roughness / tau_r[okr]
+             - 0.9 * np.abs(_SCALES - 1.0)[oks]
+             - 0.25 * np.abs(_REL_DELTAS)[okd])
+
+    # First maximum in row-major (scale, delta) order wins ties.
+    n_deltas = len(_REL_DELTAS)
+    full = np.full((rows, len(_SCALES) * n_deltas), -np.inf)
+    full[okr, oks * n_deltas + okd] = score
+    r = np.unique(okr)
+    s_idx, d_idx = np.divmod(np.argmax(full[r], axis=1), n_deltas)
+    out_tau[r] = cand_tau[r, s_idx]
+    out_anchor[r] = anchors[r, s_idx, d_idx]
+    return out_tau, out_anchor
+
+
+def _decide(times: np.ndarray, t0: float, fs: float, tables: tuple,
+            points: list, tau_r: np.ndarray, tau_t: np.ndarray,
+            level: np.ndarray, anchor: np.ndarray,
+            n_data_symbols: int | None) -> list:
+    """Decision windows -> symbols -> payload, plus the preamble check
+    (the ``decide`` stage)."""
+    # The preamble occupies symbols 1-4 from the anchor; data follows.
+    data_start = anchor + 4.0 * tau_t
+    if n_data_symbols is not None:
+        n_windows = np.full(len(tau_t), n_data_symbols)
+    else:
+        n_windows = np.minimum(
+            MAX_SYMBOLS, np.floor((times[-1] - data_start) / tau_t),
+        ).astype(np.intp)
+    shrink = (WINDOW_SHRINK_FRACTION * tau_t)[:, None]
+    ks = np.arange(float(max(int(n_windows.max()), 0)))
+    w_starts = data_start[:, None] + ks[None, :] * tau_t[:, None]
+    w_ends = w_starts + tau_t[:, None]
+    maxima, valid = _windowed_max(times, t0, fs, tables, w_starts + shrink,
+                                w_ends - shrink)
+    # Windows are consumed in order until the first one falls off the
+    # trace.
+    valid &= ks[None, :] < n_windows[:, None]
+    n_good = np.cumprod(valid, axis=1).sum(axis=1)
+
+    k4 = np.arange(4.0)
+    p_max, p_valid = _windowed_max(
+        times, t0, fs, tables,
+        anchor[:, None] + k4 * tau_t[:, None] + shrink,
+        anchor[:, None] + (k4 + 1.0) * tau_t[:, None] - shrink)
+    verified = (p_valid.all(axis=1)
+                & ((p_max > level[:, None]) == _EXPECTED_HIGH).all(axis=1))
+
+    out: list = []
+    for r in range(len(tau_t)):
+        good = int(n_good[r])
+        if good == 0:
+            out.append(DecodeError(
+                "no decision window fits between the preamble and the "
+                "end of the trace"))
+            continue
+        lvl = float(level[r])
+        period = float(tau_t[r])
+        windows = [SymbolWindow(s, e, m,
+                                Symbol.HIGH if m > lvl else Symbol.LOW)
+                   for s, e, m in zip(w_starts[r, :good].tolist(),
+                                      w_ends[r, :good].tolist(),
+                                      maxima[r, :good].tolist())]
         if n_data_symbols is None:
             # Trim the trailing ground (LOW) and keep an even count.
-            while symbols and symbols[-1] is Symbol.LOW:
-                symbols.pop()
+            while windows and windows[-1].symbol is Symbol.LOW:
                 windows.pop()
-            if len(symbols) % 2 == 1:
+            if len(windows) % 2 == 1:
                 # A Manchester stream is even; the last HIGH must be the
                 # first half of a trailing '0' bit whose LOW half was
                 # trimmed with the ground.
-                symbols.append(Symbol.LOW)
                 last = windows[-1]
                 windows.append(SymbolWindow(last.t_end_s,
-                                            last.t_end_s + tau_t,
-                                            level, Symbol.LOW))
-
+                                            last.t_end_s + period,
+                                            lvl, Symbol.LOW))
+        symbols = [w.symbol for w in windows]
         try:
             bits: list[int] | None = manchester_decode(symbols)
         except ManchesterError:
             bits = None
-
-        return DecodeResult(
+        out.append(DecodeResult(
             symbols=symbols,
             bits=bits,
-            tau_r=tau_r,
-            tau_t=tau_t,
-            threshold_level=level,
-            anchor_points=points,
+            tau_r=float(tau_r[r]),
+            tau_t=period,
+            threshold_level=lvl,
+            anchor_points=points[r],
             windows=windows,
-            preamble_verified=self._verify_preamble(smooth, times, anchor,
-                                                    tau_t, level),
-        )
-
-    # ------------------------------------------------------------------
-    def _verify_preamble(self, smooth: np.ndarray, times: np.ndarray,
-                         anchor: float, tau_t: float, level: float) -> bool:
-        """Re-decode the preamble region; it must read HLHL."""
-        shrink = self.config.window_shrink_fraction * tau_t
-        ks = np.arange(4.0)
-        i0, i1, valid = _window_slices(times,
-                                       anchor + ks * tau_t + shrink,
-                                       anchor + (ks + 1.0) * tau_t - shrink)
-        if not valid.all():
-            return False
-        maxima = _segment_reduce(np.maximum, smooth, -np.inf, i0, i1)
-        decoded = tuple(Symbol.HIGH if w_max > level else Symbol.LOW
-                        for w_max in maxima)
-        return decoded == PREAMBLE
+            preamble_verified=bool(verified[r]),
+        ))
+    return out

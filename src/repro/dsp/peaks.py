@@ -33,22 +33,18 @@ def _prominent_peaks(x: np.ndarray, prominence: float,
     indices are identical; any scipy layout change falls back to the
     public wrapper.
     """
-    if _pfu is None or distance is not None:
-        idx, _ = sp_signal.find_peaks(x, prominence=prominence,
-                                      distance=distance)
-        return idx
-    try:
-        peaks, _, _ = _pfu._local_maxima_1d(
-            np.ascontiguousarray(x, dtype=np.float64))
-        if len(peaks) == 0:
-            return peaks
-        proms, _, _ = _pfu._peak_prominences(
-            np.ascontiguousarray(x, dtype=np.float64), peaks, -1)
-    except Exception:  # pragma: no cover - private-API drift
-        idx, _ = sp_signal.find_peaks(x, prominence=prominence,
-                                      distance=distance)
-        return idx
-    return peaks[proms >= prominence]
+    if _pfu is not None and distance is None:
+        x64 = np.ascontiguousarray(x, dtype=np.float64)
+        try:
+            peaks, _, _ = _pfu._local_maxima_1d(x64)
+            if len(peaks) == 0:
+                return peaks
+            proms, _, _ = _pfu._peak_prominences(x64, peaks, -1)
+            return peaks[proms >= prominence]
+        except Exception:  # pragma: no cover - private-API drift
+            pass
+    idx, _ = sp_signal.find_peaks(x, prominence=prominence, distance=distance)
+    return idx
 
 
 @dataclass(frozen=True)
@@ -114,6 +110,30 @@ def find_peaks_and_valleys(samples: np.ndarray, sample_rate_hz: float,
     return out
 
 
+def _first_triple(val: np.ndarray,
+                  is_peak: np.ndarray) -> tuple[int, int, int] | None:
+    """Positions of the first peak -> valley -> peak triple, or None.
+
+    Works on parallel arrays of extremum values and kinds, in time
+    order: leading valleys are skipped, two peaks without a valley
+    between them restart from the later, stronger one, and the valley
+    deepens until the closing peak arrives.
+    """
+    a: int | None = None
+    b: int | None = None
+    for j in range(len(val)):
+        if is_peak[j]:
+            if a is None:
+                a = j
+            elif b is not None:
+                return a, b, j
+            elif val[j] > val[a]:
+                a = j
+        elif a is not None and (b is None or val[j] < val[b]):
+            b = j
+    return None
+
+
 def first_preamble_points(extrema: list[Extremum],
                           ) -> tuple[Extremum, Extremum, Extremum] | None:
     """Locate points A (peak), B (valley), C (peak) of the preamble.
@@ -125,23 +145,6 @@ def first_preamble_points(extrema: list[Extremum],
     Returns:
         ``(A, B, C)`` or None if the pattern is absent.
     """
-    peaks_seen: list[Extremum] = []
-    a: Extremum | None = None
-    b: Extremum | None = None
-    for ext in extrema:
-        if ext.kind == "peak":
-            if a is None:
-                a = ext
-            elif b is not None:
-                return (a, b, ext)
-            else:
-                # Two peaks without a valley between them: restart from
-                # the later, stronger anchor.
-                if ext.value > a.value:
-                    a = ext
-        else:  # valley
-            if a is not None and b is None:
-                b = ext
-            elif a is not None and b is not None and ext.value < b.value:
-                b = ext
-    return None
+    triple = _first_triple([e.value for e in extrema],
+                           [e.kind == "peak" for e in extrema])
+    return None if triple is None else tuple(extrema[j] for j in triple)

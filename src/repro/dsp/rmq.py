@@ -1,10 +1,10 @@
-"""Exact range-query primitives for the batched decoder.
+"""Exact range-query primitives for the adaptive decoder.
 
-The serial decoder answers thousands of "max/min of the smoothed signal
-inside [a, b)" questions per trace (clock-refinement candidates and
-decision windows, via per-window ``searchsorted`` + slice reductions).
-The batched tier answers the same questions for every row of a group at
-once through two shared structures:
+The decoder answers thousands of "max/min of the smoothed signal inside
+[a, b)" questions per trace (clock-refinement candidates, decision
+windows and the preamble check).  :func:`repro.core.decoder.decode_rows`
+answers them for every row of a same-grid trace stack at once through
+two shared structures:
 
 * **Sparse tables** (:func:`build_table`): O(n log n) precompute, O(1)
   range max/min via two overlapping power-of-two windows.  ``max`` and
@@ -24,6 +24,10 @@ import numpy as np
 
 __all__ = ["log_table", "build_table", "range_query", "grid_searchsorted"]
 
+#: Log tables kept, one per trace length.  A tensor group reuses one
+#: length, but every streaming flush decodes a new one, so the cache is
+#: emptied when full instead of growing with each stream.
+_LOG_CACHE_MAX = 8
 _LOG_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -40,6 +44,8 @@ def log_table(n: int) -> np.ndarray:
             k -= (1 << k) > i
             k += (2 << k) <= i
             table[1:] = k
+        if len(_LOG_CACHE) >= _LOG_CACHE_MAX:
+            _LOG_CACHE.clear()
         _LOG_CACHE[n] = table
     return table
 

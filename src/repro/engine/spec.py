@@ -185,6 +185,11 @@ class ScenarioSpec:
         if not self.bits or any(c not in "01" for c in self.bits):
             raise ValueError(f"bits must be a non-empty 0/1 string, "
                              f"got {self.bits!r}")
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if (f.type in ("float", "float | None") and value is not None
+                    and not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("symbol_width_m", "receiver_height_m", "speed_mps",
                      "lamp_intensity_cd", "ground_lux",
                      "fluorescent_height_m"):

@@ -34,7 +34,11 @@ from typing import Any
 import numpy as np
 
 from ..channel.trace import SignalTrace
-from ..core.decoder import AdaptiveThresholdDecoder, DecodeResult
+from ..core.decoder import (
+    WINDOW_SHRINK_FRACTION,
+    AdaptiveThresholdDecoder,
+    DecodeResult,
+)
 from ..core.errors import DecodeError, PreambleNotFoundError
 from ..exec.graph import ExecStage, StageTrace, maybe_stage
 from ..obs.registry import active_registry
@@ -148,9 +152,9 @@ class StreamDecoder:
         # Incremental acquisition needs an adaptive decoder.  A wrapper
         # decoder (e.g. the two-phase car decoder) carries its
         # configured inner adaptive decoder as `.decoder` — use that,
-        # so detection telemetry shares the verdict's threshold rule
-        # and window shrink, and only fall back to defaults for
-        # decoders exposing nothing adaptive at all.
+        # so detection telemetry shares the verdict's threshold rule,
+        # and only fall back to defaults for decoders exposing nothing
+        # adaptive at all.
         acquisition = self.decoder
         if not isinstance(acquisition, AdaptiveThresholdDecoder):
             acquisition = getattr(self.decoder, "decoder", None)
@@ -251,9 +255,7 @@ class StreamDecoder:
         first_bit_end = acq.data_start_s + 2.0 * acq.tau_t
         if self.buffer.end_time_s < first_bit_end:
             return
-        shrink_cfg = getattr(self.detector.decoder.config,
-                             "window_shrink_fraction", 0.0)
-        shrink = shrink_cfg * acq.tau_t
+        shrink = WINDOW_SHRINK_FRACTION * acq.tau_t
         first = self._provisional_symbol(acq.data_start_s,
                                          acq.data_start_s + acq.tau_t, shrink)
         second = self._provisional_symbol(acq.data_start_s + acq.tau_t,

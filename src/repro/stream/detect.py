@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.decoder import AdaptiveThresholdDecoder
+from ..core.decoder import AdaptiveThresholdDecoder, threshold_level
 from ..core.errors import PreambleNotFoundError
 from ..channel.trace import SignalTrace
 from ..dsp.filters import moving_average
@@ -128,7 +128,8 @@ class PreambleDetector:
             self._advance(trace, t_end)
             return None
         tau_r, tau_t = self.decoder.thresholds(points)
-        level = self.decoder._threshold_level(tau_r, points[1].value)
+        level = threshold_level(self.decoder.config.threshold_rule, tau_r,
+                                points[1].value)
         return AcquiredPreamble(points=points, tau_r=tau_r, tau_t=tau_t,
                                 threshold_level=level, detected_at_s=t_end)
 

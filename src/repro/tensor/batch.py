@@ -9,11 +9,10 @@ sigma profile) is computed **once per group**, and only the per-seed
 noise draw onward runs per scenario, batched as fused ``(N, T)`` array
 passes in a single process with no pickling.
 
-Decoding is batched too: multi-scale acquisition, the clock-refinement
-search and the decision windows all evaluate across the rows of a group
-at once through shared sparse max/min tables (:mod:`repro.tensor.rmq`),
-answering window for window the identical floats the serial decoder's
-scipy calls and segment reductions produce.
+The tensor path adds only that shared physics and the row stacking.
+Decoding is the one adaptive decode kernel every driver uses,
+:func:`repro.core.decoder.decode_rows`, handed the group's whole row
+stack at once.
 
 Equivalence contract: with ``dtype="float64"`` (the default) every
 :class:`~repro.engine.records.RunRecord` is **byte-identical**
@@ -22,8 +21,10 @@ resolved spec.  This holds structurally:
 
 * shared stages are seed-independent and computed with the very same
   functions the serial path calls;
-* per-row stages replicate the serial expressions element for element
-  (IEEE arithmetic on broadcast rows equals the per-row expressions);
+* the per-row capture replicates the serial front-end expressions
+  element for element (IEEE arithmetic on broadcast rows equals the
+  per-row expressions), and the decode kernel's rows are independent
+  of each other;
 * specs the fast path does not cover (networked receivers, streamed
   replay, the two-phase car decoder) are delegated to
   ``execute_scenario`` unchanged, as is any group whose fast path
@@ -38,7 +39,6 @@ stays fully deterministic (same seeds, same records on every run).
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import OrderedDict
@@ -47,14 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..channel.trace import SignalTrace
-from ..core.decoder import (
-    _EXPECTED_HIGH,
-    AdaptiveThresholdDecoder,
-    DecoderConfig,
-)
+from ..core.decoder import DecodeResult, DecoderConfig, decode_rows
 from ..core.errors import PreambleNotFoundError
-from ..dsp.filters import moving_average
-from ..dsp.peaks import Extremum, _prominent_peaks
 from ..engine.executor import build_simulator, execute_scenario
 from ..engine.records import (
     RecordStage,
@@ -63,13 +57,11 @@ from ..engine.records import (
     outcome_stage,
 )
 from ..engine.spec import ScenarioSpec, SpecIdentity
-from ..exec.graph import ExecStage, StageTrace, maybe_stage, new_trace
+from ..exec.graph import ExecStage, maybe_stage, new_trace
 from ..obs.export import publish_stage_trace
 from ..obs.registry import active_registry
 from ..hardware.amplifier import first_order_lowpass
-from ..tags.encoding import ManchesterError, Symbol, manchester_decode
 from ..tags.packet import Packet
-from .rmq import build_table, grid_searchsorted, log_table, range_query
 
 __all__ = ["DTYPES", "execute_batch", "optical_key", "fast_path_eligible",
            "clear_plan_cache"]
@@ -234,370 +226,6 @@ def _capture_rows(plan: _GroupPlan, specs: list[ScenarioSpec],
 
 
 # ----------------------------------------------------------------------
-# Batched decode
-# ----------------------------------------------------------------------
-
-def _masked_query(table: np.ndarray, log: np.ndarray, op: np.ufunc,
-                  rows: np.ndarray, i0: np.ndarray, i1: np.ndarray,
-                  valid: np.ndarray) -> np.ndarray:
-    """Range-query ``[i0, i1)`` where ``valid``; junk elsewhere."""
-    qa = np.where(valid, i0, 0)
-    qb = np.where(valid, i1, 1)
-    return range_query(table, log, op, rows, qa, qb)
-
-
-class _RowDecode:
-    """Mutable per-row decode state while the batch progresses."""
-
-    __slots__ = ("trace", "stage", "bits", "smooth", "tau_r", "tau_t",
-                 "level", "anchor")
-
-    def __init__(self, trace: SignalTrace) -> None:
-        self.trace = trace
-        self.stage: str | None = None   # terminal stage, once known
-        self.bits = ""
-        self.smooth: np.ndarray | None = None
-        self.tau_r = 0.0
-        self.tau_t = 0.0
-        self.level = 0.0
-        self.anchor = 0.0
-
-
-def _refine_clock_rows(config: DecoderConfig, times: np.ndarray,
-                       t0: float, fs: float, tmax: np.ndarray,
-                       tmin: np.ndarray, log: np.ndarray,
-                       base_anchor: np.ndarray, tau_t: np.ndarray,
-                       tau_r: np.ndarray, level: np.ndarray,
-                       n_probe: int) -> tuple[np.ndarray, np.ndarray]:
-    """``AdaptiveThresholdDecoder._refine_clock`` over a leading row axis.
-
-    Identical candidate grid, identical window bounds, identical score
-    expression — evaluated for every row of the group at once, with the
-    data-roughness stage computed only for candidates that survive the
-    preamble-margin test (the serial path computes it for all
-    candidates; the survivors' values are the same either way, and
-    rejected candidates score ``-inf`` in both).  Returns per-row
-    ``(tau_t, anchor)``.
-    """
-    rows, n = len(tau_t), len(times)
-    span = config.clock_search_span
-
-    scales = np.linspace(1.0 - span, 1.0 + span, 13)
-    rel_deltas = np.linspace(-0.35, 0.35, 15)
-    cand_tau = tau_t[:, None] * scales[None, :]                # (R, 13)
-    shrink = config.window_shrink_fraction * cand_tau
-    anchors = (base_anchor[:, None, None]
-               + rel_deltas[None, None, :] * cand_tau[:, :, None])
-
-    tau_c = cand_tau[:, :, None, None]
-    shrink_c = shrink[:, :, None, None]
-    anchor_c = anchors[:, :, :, None]
-
-    ks = np.arange(4.0)
-    i0, i1 = grid_searchsorted(times, t0, fs, np.stack((
-        anchor_c + ks * tau_c + shrink_c,
-        anchor_c + (ks + 1.0) * tau_c - shrink_c)))
-    valid = (i1 > i0) & (i0 < n)
-    rows4 = np.broadcast_to(
-        np.arange(rows)[:, None, None, None], valid.shape)
-    w_max = _masked_query(tmax, log, np.maximum, rows4, i0, i1, valid)
-    level_c = level[:, None, None, None]
-    margins = np.where(_EXPECTED_HIGH, w_max - level_c, level_c - w_max)
-    min_margin = margins.min(axis=-1)
-    ok = valid.all(axis=-1) & (min_margin > 0.0)
-
-    out_tau = tau_t.copy()
-    out_anchor = base_anchor.copy()
-    okr, oks, okd = np.nonzero(ok)
-    if len(okr) == 0:
-        return out_tau, out_anchor
-
-    # Data-window roughness, survivors only.
-    dtau = cand_tau[okr, oks]
-    dshrink = shrink[okr, oks]
-    data_start = anchors[okr, oks, okd] + 4.0 * dtau
-    kd = np.arange(float(max(n_probe, 0)))
-    j0, j1 = grid_searchsorted(times, t0, fs, np.stack(
-        (data_start[:, None] + kd * dtau[:, None] + dshrink[:, None],
-         data_start[:, None] + (kd + 1.0) * dtau[:, None]
-         - dshrink[:, None])))
-    d_valid = (j1 > j0) & (j0 < n)
-    rows_d = np.broadcast_to(okr[:, None], d_valid.shape)
-    seg_max = _masked_query(tmax, log, np.maximum, rows_d, j0, j1, d_valid)
-    seg_min = _masked_query(tmin, log, np.minimum, rows_d, j0, j1, d_valid)
-    ranges = np.where(d_valid, seg_max - seg_min, 0.0)
-    counts = np.cumprod(d_valid, axis=-1).sum(axis=-1)
-    roughness = np.zeros(len(okr))
-    for count in np.unique(counts):
-        if count < 1:
-            continue
-        sel = counts == count
-        roughness[sel] = np.mean(ranges[:, :int(count)], axis=-1)[sel]
-
-    score = (min_margin[okr, oks, okd] / tau_r[okr]
-             - 0.5 * roughness / tau_r[okr]
-             - 0.9 * np.abs(scales - 1.0)[oks]
-             - 0.25 * np.abs(rel_deltas)[okd])
-
-    # Row-major first-max tie-breaking, exactly like the serial
-    # ``np.argmax`` over the (13, 15) candidate grid.
-    full = np.full((rows, len(scales) * len(rel_deltas)), -np.inf)
-    full[okr, oks * len(rel_deltas) + okd] = score
-    flat_idx = np.argmax(full, axis=1)
-    s_idx, d_idx = np.divmod(flat_idx, len(rel_deltas))
-    has = np.zeros(rows, dtype=bool)
-    has[okr] = True
-    r = np.flatnonzero(has)
-    out_tau[r] = cand_tau[r, s_idx[r]]
-    out_anchor[r] = anchors[r, s_idx[r], d_idx[r]]
-    return out_tau, out_anchor
-
-
-def _first_triple(idx: np.ndarray, val: np.ndarray,
-                  is_peak: np.ndarray) -> tuple[int, int, int] | None:
-    """``first_preamble_points`` on parallel extrema arrays.
-
-    Identical scan (first peak -> valley -> peak, restarting on a
-    higher pre-valley peak, deepening the valley until the closing
-    peak) without materialising an :class:`Extremum` per candidate.
-    Returns positions into the arrays, or None.
-    """
-    a: int | None = None
-    b: int | None = None
-    for j in range(len(idx)):
-        if is_peak[j]:
-            if a is None:
-                a = j
-            elif b is not None:
-                return a, b, j
-            elif val[j] > val[a]:
-                a = j
-        else:
-            if a is not None and b is None:
-                b = j
-            elif b is not None and val[j] < val[b]:
-                b = j
-    return None
-
-
-def _plausible_scalar(cfg: DecoderConfig, idx: np.ndarray,
-                      val: np.ndarray, triple: tuple[int, int, int],
-                      t0: float, fs: float, span: float,
-                      noise_sigma: float) -> bool:
-    """``AdaptiveThresholdDecoder._plausible_preamble`` on scalars.
-
-    Same expressions on the same float values (``Extremum.value`` is
-    ``float(val[j])``, ``Extremum.time_s`` is ``t0 + idx[j] / fs``),
-    just without building the dataclasses for triples that fail.
-    """
-    ja, jb, jc = triple
-    av, bv, cv = float(val[ja]), float(val[jb]), float(val[jc])
-    tau_r = ((av - bv) + (cv - bv)) / 2.0
-    if tau_r < cfg.min_preamble_swing_fraction * span:
-        return False
-    if tau_r < 4.0 * noise_sigma:
-        return False
-    d1 = (t0 + idx[jb] / fs) - (t0 + idx[ja] / fs)
-    d2 = (t0 + idx[jc] / fs) - (t0 + idx[jb] / fs)
-    if d1 <= 0.0 or d2 <= 0.0:
-        return False
-    return abs(d1 - d2) <= 0.6 * min(d1, d2)
-
-
-def _acquire_rows(decoder: AdaptiveThresholdDecoder,
-                  rows: list[_RowDecode], raw_stack: np.ndarray,
-                  fs: float, t0: float,
-                  stage_trace: StageTrace | None = None) -> dict[int, tuple]:
-    """``AdaptiveThresholdDecoder._acquire`` for the whole row stack.
-
-    scipy's C peak routines beat any vectorised reformulation at this
-    trace length, so each pending row calls the serial path's own
-    ``_prominent_peaks`` per scale; everything around those calls — the
-    noise-sigma profile, extrema assembly, the triple scan — is either
-    vectorised across rows or done on scalars, and full
-    :class:`Extremum` objects exist only for the three accepted anchor
-    points.  Row for row this evaluates the exact serial sequence:
-    smooth, span gate, prominence filter, ``first_preamble_points``,
-    ``_plausible_preamble``, finest scale first.
-
-    Returns ``{row_index: (points, smooth)}`` for rows that acquired.
-    """
-    cfg = decoder.config
-    n_rows, n = raw_stack.shape
-    acquired: dict[int, tuple] = {}
-    if n < 3:
-        # Too short for an interior extremum at any scale (the serial
-        # path finds no extrema and exhausts every scale).
-        return acquired
-    if n > 3:
-        # Bit-identical to the serial per-row np.std(np.diff(raw)):
-        # a last-axis reduction over a C-contiguous stack applies the
-        # same pairwise summation to each row's buffer.
-        noise_sigma = (np.std(np.diff(raw_stack, axis=1), axis=1)
-                       / math.sqrt(2.0))
-    else:
-        noise_sigma = np.zeros(n_rows)
-
-    prom_frac = cfg.min_prominence_fraction
-    pending = list(range(n_rows))
-    for window in decoder._smoothing_scales(rows[0].trace):
-        if not pending:
-            break
-        still: list[int] = []
-        for ridx in pending:
-            with maybe_stage(stage_trace, ExecStage.NORMALIZE):
-                smooth = moving_average(raw_stack[ridx], window)
-            span = float(smooth.max() - smooth.min())
-            if span <= 0.0 or not np.isfinite(span):
-                still.append(ridx)
-                continue
-            prominence = prom_frac * span
-            pk = _prominent_peaks(smooth, prominence, None)
-            vl = _prominent_peaks(-smooth, prominence, None)
-            if len(pk) < 2:
-                # A triple needs two peaks; the serial scan over the
-                # merged extrema returns None just the same.
-                still.append(ridx)
-                continue
-            idx = np.concatenate([pk, vl])
-            order = np.argsort(idx, kind="stable")
-            idx = idx[order]
-            is_peak = order < len(pk)
-            val = smooth[idx]
-            triple = _first_triple(idx, val, is_peak)
-            if triple is None:
-                still.append(ridx)
-                continue
-            if not _plausible_scalar(
-                    cfg, idx, val, triple, t0, fs, span,
-                    float(noise_sigma[ridx])):
-                still.append(ridx)
-                continue
-            points = tuple(
-                Extremum(int(idx[j]), t0 + idx[j] / fs, float(val[j]),
-                         "peak" if is_peak[j] else "valley")
-                for j in triple)
-            acquired[ridx] = (points, smooth)
-        pending = still
-    return acquired
-
-
-def _decode_rows(traces: list[SignalTrace], n_data_symbols: int,
-                 config: DecoderConfig | None = None,
-                 stage_trace: StageTrace | None = None) -> list[_RowDecode]:
-    """Batched adaptive decode of same-grid traces.
-
-    All three decoder stages — acquisition, clock refinement, decision
-    windows — run as fused passes over the whole row stack, answering
-    every "max/min inside this window" question through shared sparse
-    tables (:mod:`repro.tensor.rmq`) instead of per-row scipy calls.
-    When profiled, the fused passes attribute group-level time to the
-    same ``normalize``/``acquire``/``refine_clock``/``decide`` stages
-    the serial decoder reports per scenario.
-    """
-    decoder = AdaptiveThresholdDecoder(config)
-    cfg = decoder.config
-    rows = [_RowDecode(t) for t in traces]
-    trace0 = traces[0]
-    fs = trace0.sample_rate_hz
-    t0 = trace0.start_time_s
-    times = trace0.times()
-    n = len(times)
-    if n == 0:
-        for row in rows:
-            row.stage = RecordStage.PREAMBLE_NOT_FOUND.value
-        return rows
-
-    raw_stack = np.stack(
-        [np.asarray(t.samples, dtype=float) for t in traces])
-    acquired = _acquire_rows(decoder, rows, raw_stack, fs, t0,
-                             stage_trace=stage_trace)
-
-    with maybe_stage(stage_trace, ExecStage.ACQUIRE):
-        live: list[_RowDecode] = []
-        for ridx, row in enumerate(rows):
-            got = acquired.get(ridx)
-            if got is None:
-                row.stage = RecordStage.PREAMBLE_NOT_FOUND.value
-                continue
-            points, smooth = got
-            try:
-                tau_r, tau_t = decoder.thresholds(points)
-            except PreambleNotFoundError:
-                row.stage = RecordStage.PREAMBLE_NOT_FOUND.value
-                continue
-            row.smooth = smooth
-            row.tau_r = tau_r
-            row.tau_t = tau_t
-            row.level = decoder._threshold_level(tau_r, points[1].value)
-            row.anchor = points[0].time_s - 0.5 * tau_t
-            live.append(row)
-        if not live:
-            return rows
-
-        smooths = np.ascontiguousarray(
-            np.stack([row.smooth for row in live]))
-        tau_t = np.array([row.tau_t for row in live])
-        tau_r = np.array([row.tau_r for row in live])
-        level = np.array([row.level for row in live])
-        base_anchor = np.array([row.anchor for row in live])
-
-        log = log_table(n)
-        # Longest range any query below can ask for: one symbol window
-        # at the widest refinement candidate, in samples.  Levels
-        # beyond that are never touched, so the tables stop there (an
-        # underestimate would fault in ``range_query``, never answer
-        # wrongly).
-        wide = ((1.0 + cfg.clock_search_span)
-                * (1.0 + 2.0 * abs(cfg.window_shrink_fraction)))
-        lmax = int(np.ceil(float(tau_t.max()) * wide * fs)) + 4
-        tmax = build_table(smooths, np.maximum, max_len=lmax)
-        tmin = build_table(smooths, np.minimum, max_len=lmax)
-
-    with maybe_stage(stage_trace, ExecStage.REFINE_CLOCK):
-        if cfg.clock_refinement:
-            n_probe = min(n_data_symbols if n_data_symbols else 8, 12)
-            tau_t, anchor = _refine_clock_rows(
-                cfg, times, t0, fs, tmax, tmin, log, base_anchor,
-                tau_t, tau_r, level, n_probe)
-        else:
-            anchor = base_anchor
-        for row, tau, anc in zip(live, tau_t, anchor):
-            row.tau_t = float(tau)
-            row.anchor = float(anc)
-
-    with maybe_stage(stage_trace, ExecStage.DECIDE):
-        # Decision windows, batched: same grid for every row.
-        data_start = anchor + 4.0 * tau_t
-        shrink = cfg.window_shrink_fraction * tau_t
-        ks = np.arange(float(n_data_symbols))
-        w_starts = data_start[:, None] + ks[None, :] * tau_t[:, None]
-        w_ends = w_starts + tau_t[:, None]
-        i0, i1 = grid_searchsorted(times, t0, fs, np.stack(
-            (w_starts + shrink[:, None], w_ends - shrink[:, None])))
-        valid = (i1 > i0) & (i0 < n)
-        n_good = np.cumprod(valid, axis=1).sum(axis=1)
-        rows2 = np.broadcast_to(np.arange(len(live))[:, None], valid.shape)
-        maxima = _masked_query(tmax, log, np.maximum, rows2, i0, i1, valid)
-
-        for r, row in enumerate(live):
-            good = int(n_good[r])
-            if good == 0:
-                row.stage = RecordStage.DECODE_FAILED.value
-                continue
-            symbols = [Symbol.HIGH if float(maxima[r, k]) > row.level
-                       else Symbol.LOW for k in range(good)]
-            try:
-                bits = manchester_decode(symbols)
-            except ManchesterError:
-                bits = None
-            row.bits = ("" if bits is None
-                        else "".join(str(b) for b in bits))
-            row.stage = "ok"
-    return rows
-
-
-# ----------------------------------------------------------------------
 # Group execution and the public entry point
 # ----------------------------------------------------------------------
 
@@ -623,7 +251,7 @@ def _run_group(key: str, specs: list[ScenarioSpec],
         traces = [SignalTrace(codes[i].astype(float), fs, plan.t_start,
                               meta=dict(meta))
                   for i in range(len(specs))]
-    decodes = _decode_rows(
+    decodes = decode_rows(
         traces, n_data_symbols,
         DecoderConfig(threshold_rule=spec0.threshold_rule),
         stage_trace=profile)
@@ -641,10 +269,15 @@ def _run_group(key: str, specs: list[ScenarioSpec],
             publish_stage_trace(registry, profile, "tensor")
         profile = profile.scaled(1.0 / max(1, len(specs)))
     records = []
-    for spec, ident, row in zip(specs, idents, decodes):
-        decoded = row.bits if row.stage == "ok" else ""
-        stage = (outcome_stage(decoded, sent) if row.stage == "ok"
-                 else row.stage)
+    for spec, ident, result in zip(specs, idents, decodes):
+        decoded = ""
+        if isinstance(result, DecodeResult):
+            decoded = result.bit_string()
+            stage = outcome_stage(decoded, sent)
+        elif isinstance(result, PreambleNotFoundError):
+            stage = RecordStage.PREAMBLE_NOT_FOUND.value
+        else:
+            stage = RecordStage.DECODE_FAILED.value
         records.append(make_record(
             spec_hash=ident.content_hash,
             spec=ident.payload,

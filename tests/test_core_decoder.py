@@ -1,14 +1,22 @@
 """Tests for repro.core.decoder (the Section 4.1 algorithm)."""
 
+import gc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channel.simulator import ChannelSimulator, SimulatorConfig
 from repro.channel.trace import SignalTrace
+import repro.core.decoder as decoder_mod
 from repro.core.decoder import (
+    CLOCK_SEARCH_SPAN,
+    WINDOW_SHRINK_FRACTION,
     AdaptiveThresholdDecoder,
     DecodeResult,
     DecoderConfig,
+    decode_rows,
 )
 from repro.core.errors import DecodeError, PreambleNotFoundError
 from repro.tags.encoding import Symbol
@@ -42,18 +50,6 @@ class TestConfigValidation:
     def test_threshold_rule(self):
         with pytest.raises(ValueError):
             DecoderConfig(threshold_rule="banana")
-
-    def test_prominence_bounds(self):
-        with pytest.raises(ValueError):
-            DecoderConfig(min_prominence_fraction=0.0)
-
-    def test_shrink_bounds(self):
-        with pytest.raises(ValueError):
-            DecoderConfig(window_shrink_fraction=0.5)
-
-    def test_search_span_bounds(self):
-        with pytest.raises(ValueError):
-            DecoderConfig(clock_search_span=0.5)
 
 
 class TestThresholds:
@@ -148,6 +144,25 @@ class TestFailureModes:
         with pytest.raises((DecodeError, PreambleNotFoundError)):
             AdaptiveThresholdDecoder().decode(trace, n_data_symbols=8)
 
+    def test_raised_errors_leave_no_reference_cycles(self):
+        """A failed decode or acquisition frees its frames at once;
+        streaming acquisition fails on most chunks, so a cycle per
+        failure would pile up until the cyclic collector runs."""
+        flat = SignalTrace(np.full(500, 42.0), 100.0)
+        decoder = AdaptiveThresholdDecoder()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                for call in (decoder.decode, decoder.acquire_preamble):
+                    try:
+                        call(flat)
+                    except PreambleNotFoundError:
+                        pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_bad_n_symbols(self):
         trace = synthetic_packet_trace("HLHLHLHL")
         with pytest.raises(ValueError):
@@ -202,74 +217,231 @@ class TestEndToEnd:
             assert w.t_end_s > w.t_start_s
 
 
-class TestVectorizedRefineClock:
-    """The broadcast clock search is bit-identical to the triple loop."""
+def _refine_clock_reference(smooth, times, base_anchor, tau_t, tau_r,
+                            level, n_probe):
+    """The clock search as the literal scale x delta x window triple loop.
 
-    def _prepared(self, trace):
-        decoder = AdaptiveThresholdDecoder()
-        try:
-            points, smooth = decoder._acquire(trace)
-        except PreambleNotFoundError:
-            pytest.skip("acquisition rejected this noise draw; the "
-                        "clock search never runs")
-        tau_r, tau_t = decoder.thresholds(points)
-        level = decoder._threshold_level(tau_r, points[1].value)
-        return decoder, points, smooth, tau_r, tau_t, level
+    The readable oracle for the decode kernel's batched search
+    (``repro.core.decoder._refine_clock``): every window is located with
+    ``np.searchsorted`` and reduced with a plain slice.
+    """
+    def window(w_start, w_end):
+        i0 = int(np.searchsorted(times, w_start, side="left"))
+        i1 = int(np.searchsorted(times, w_end, side="left"))
+        if i1 <= i0 or i0 >= len(smooth):
+            return None
+        return smooth[i0:i1]
+
+    span = CLOCK_SEARCH_SPAN
+    expected_high = (True, False, True, False)
+    best = None
+    best_score = -np.inf
+    for scale in np.linspace(1.0 - span, 1.0 + span, 13):
+        cand_tau = tau_t * scale
+        shrink = WINDOW_SHRINK_FRACTION * cand_tau
+        for rel_delta in np.linspace(-0.35, 0.35, 15):
+            anchor = base_anchor + rel_delta * cand_tau
+            margins = []
+            for k, is_high in enumerate(expected_high):
+                seg = window(anchor + k * cand_tau + shrink,
+                             anchor + (k + 1) * cand_tau - shrink)
+                if seg is None:
+                    margins = []
+                    break
+                w_max = float(seg.max())
+                margins.append(w_max - level if is_high else level - w_max)
+            if not margins or min(margins) <= 0.0:
+                continue
+            ranges = []
+            data_start = anchor + 4.0 * cand_tau
+            for k in range(n_probe):
+                seg = window(data_start + k * cand_tau + shrink,
+                             data_start + (k + 1) * cand_tau - shrink)
+                if seg is None:
+                    break
+                ranges.append(float(seg.max() - seg.min()))
+            roughness = float(np.mean(ranges)) if ranges else 0.0
+            score = (min(margins) / tau_r
+                     - 0.5 * roughness / tau_r
+                     - 0.9 * abs(scale - 1.0)
+                     - 0.25 * abs(rel_delta))
+            if score > best_score:
+                best_score = score
+                best = (cand_tau, anchor)
+    if best is None:
+        return tau_t, base_anchor
+    return best
+
+
+def _acquired_stack(traces, rule="midpoint"):
+    """Run the kernel's acquisition and threshold steps on a stack.
+
+    Returns the clock-search inputs for the rows that acquired.
+    """
+    raw = np.stack([t.samples for t in traces])
+    t0, fs = traces[0].start_time_s, traces[0].sample_rate_hz
+    rows = []
+    for got in decoder_mod._acquire_rows(raw, t0, fs):
+        if isinstance(got, PreambleNotFoundError):
+            continue
+        points, smooth = got
+        tau_r, tau_t = AdaptiveThresholdDecoder.thresholds(points)
+        level = decoder_mod.threshold_level(rule, tau_r, points[1].value)
+        rows.append((smooth, points[0].time_s - 0.5 * tau_t, tau_t, tau_r,
+                     level))
+    return rows
+
+
+def _kernel_clock(rows, times, t0, fs, n_probe):
+    smooths, base, tau_t, tau_r, level = (np.array(c) for c in zip(*rows))
+    tables = decoder_mod._range_tables(smooths, tau_t, fs)
+    return decoder_mod._refine_clock(times, t0, fs, tables, base, tau_t,
+                                     tau_r, level, n_probe)
+
+
+class TestVectorizedRefineClock:
+    """The kernel's batched clock search equals the literal triple loop."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("symbols", ["HLHLHLLH", "HLHLLHHLHLLH"])
     def test_matches_reference_on_noisy_traces(self, seed, symbols):
         trace = synthetic_packet_trace(symbols, noise=3.0, seed=seed)
-        decoder, points, smooth, tau_r, tau_t, level = self._prepared(trace)
+        rows = _acquired_stack([trace])
+        if not rows:
+            pytest.skip("acquisition rejected this noise draw; the "
+                        "clock search never runs")
         times = trace.times()
-        for n_data in (None, len(symbols) - 4):
-            vec = decoder._refine_clock(smooth, times, points, tau_t,
-                                        tau_r, level, n_data_symbols=n_data)
-            ref = decoder._refine_clock_reference(
-                smooth, times, points, tau_t, tau_r, level,
-                n_data_symbols=n_data)
-            assert vec == ref
+        smooth, base, tau_t, tau_r, level = rows[0]
+        for n_probe in (8, len(symbols) - 4):
+            tau, anchor = _kernel_clock(rows, times, trace.start_time_s,
+                                        trace.sample_rate_hz, n_probe)
+            ref = _refine_clock_reference(smooth, times, base, tau_t,
+                                          tau_r, level, n_probe)
+            assert (float(tau[0]), float(anchor[0])) == ref
 
-    def test_decode_matches_reference_end_to_end(self):
+    @pytest.mark.parametrize("rule", ["midpoint", "paper"])
+    def test_matches_reference_across_rows(self, rule):
+        """At R > 1 every row still equals its own oracle answer."""
+        traces = [synthetic_packet_trace("HLHLLHHLHLLH", noise=noise,
+                                         seed=seed)
+                  for seed, noise in enumerate((0.0, 1.0, 3.0, 5.0, 2.0))]
+        rows = _acquired_stack(traces, rule)
+        assert len(rows) >= 3
+        times = traces[0].times()
+        for n_probe in (8, 4, 12):
+            tau, anchor = _kernel_clock(rows, times, 0.0,
+                                        traces[0].sample_rate_hz, n_probe)
+            for r, (smooth, base, tau_t, tau_r, level) in enumerate(rows):
+                ref = _refine_clock_reference(smooth, times, base, tau_t,
+                                              tau_r, level, n_probe)
+                assert (float(tau[r]), float(anchor[r])) == ref
+
+    def test_decode_matches_reference_end_to_end(self, monkeypatch):
         """Full decodes driven by either clock search agree exactly."""
         trace = synthetic_packet_trace("HLHLHLLHHLLH", noise=2.0, seed=3)
         vec = AdaptiveThresholdDecoder().decode(trace)
 
-        class ReferenceDecoder(AdaptiveThresholdDecoder):
-            _refine_clock = AdaptiveThresholdDecoder._refine_clock_reference
+        def reference_clock(times, t0, fs, tables, base, tau_t, tau_r,
+                            level, n_probe):
+            # Level 0 of the max table is the smoothed rows themselves.
+            answers = [_refine_clock_reference(
+                smooth, times, base[r], tau_t[r], tau_r[r], level[r],
+                n_probe) for r, smooth in enumerate(tables[0][0])]
+            return tuple(np.array(col) for col in zip(*answers))
 
-        ref = ReferenceDecoder().decode(trace)
-        assert vec.symbols == ref.symbols
-        assert vec.bits == ref.bits
-        assert vec.tau_t == ref.tau_t
-        assert vec.threshold_level == ref.threshold_level
-        assert [(w.t_start_s, w.t_end_s, w.max_value, w.symbol)
-                for w in vec.windows] == [
-                    (w.t_start_s, w.t_end_s, w.max_value, w.symbol)
-                    for w in ref.windows]
+        monkeypatch.setattr(decoder_mod, "_refine_clock", reference_clock)
+        ref = AdaptiveThresholdDecoder().decode(trace)
+        assert vec == ref
 
-    def test_segment_reduce_matches_scalar_windows(self):
-        """The reduceat window extraction equals _window_max/_window_range
-        on randomly placed (including empty) windows."""
-        from repro.core.decoder import _segment_reduce, _window_slices
-
+    def test_windowed_max_matches_scalar_windows(self):
+        """Range-table window maxima equal plain slice maxima on randomly
+        placed (including empty) windows."""
         rng = np.random.default_rng(11)
         trace = synthetic_packet_trace("HLHLHLLH", noise=1.0, seed=5)
-        decoder = AdaptiveThresholdDecoder()
-        _, smooth = decoder._acquire(trace)
+        rows = _acquired_stack([trace])
+        smooth, _, tau_t, _, _ = rows[0]
         times = trace.times()
-        starts = rng.uniform(times[0] - 0.5, times[-1] + 0.5, size=200)
-        ends = starts + rng.uniform(-0.05, 0.4, size=200)
-        i0, i1, valid = _window_slices(times, starts, ends)
-        maxima = _segment_reduce(np.maximum, smooth, -np.inf, i0, i1)
-        minima = _segment_reduce(np.minimum, smooth, np.inf, i0, i1)
+        fs = trace.sample_rate_hz
+        starts = rng.uniform(times[0] - 0.5, times[-1] + 0.5, size=(1, 200))
+        ends = starts + rng.uniform(-0.05, 0.4, size=(1, 200))
+        tables = decoder_mod._range_tables(smooth[None, :],
+                                           np.array([tau_t]), fs)
+        maxima, valid = decoder_mod._windowed_max(times, 0.0, fs, tables,
+                                                  starts, ends)
         for k in range(200):
-            w_max = decoder._window_max(smooth, times, starts[k], ends[k])
-            w_range = decoder._window_range(smooth, times, starts[k],
-                                            ends[k])
-            if w_max is None:
-                assert not valid[k]
+            i0 = int(np.searchsorted(times, starts[0, k]))
+            i1 = int(np.searchsorted(times, ends[0, k]))
+            if i1 <= i0 or i0 >= len(smooth):
+                assert not valid[0, k]
             else:
-                assert valid[k]
-                assert maxima[k] == w_max
-                assert maxima[k] - minima[k] == w_range
+                assert valid[0, k]
+                assert maxima[0, k] == smooth[i0:i1].max()
+
+
+def _outcome(result):
+    """A comparable view of one row's decode: the result or error type."""
+    if isinstance(result, DecodeResult):
+        return result
+    return type(result)
+
+
+_PACKET_ROW = st.tuples(
+    st.sampled_from(["HLHL", "LHHL", "HLLH", "LHLH", "HHHH", "LLLL"]),
+    st.floats(0.0, 25.0), st.integers(0, 2**16), st.floats(0.5, 3.0))
+_FLAT_ROW = st.floats(-50.0, 500.0)
+
+
+class TestDecodeRows:
+    """The kernel's rows are independent: stacking never changes a row."""
+
+    @given(rows=st.lists(st.one_of(_PACKET_ROW, _FLAT_ROW), min_size=1,
+                         max_size=5))
+    @settings(max_examples=25, deadline=None)
+    def test_stack_rows_equal_single_rows(self, rows):
+        traces = []
+        for row in rows:
+            if isinstance(row, tuple):
+                data, noise, seed, gain = row
+                trace = synthetic_packet_trace("HLHL" + data, noise=noise,
+                                               seed=seed)
+                traces.append(SignalTrace(trace.samples * gain, 200.0))
+            else:
+                # Same grid as the packet rows: 1 s lead + 8 symbols of
+                # 0.4 s + 1 s tail at 200 Hz.
+                traces.append(SignalTrace(np.full(1040, row), 200.0))
+        for n_data in (4, None):
+            stacked = decode_rows(traces, n_data)
+            for trace, got in zip(traces, stacked):
+                alone = decode_rows([trace], n_data)[0]
+                assert _outcome(got) == _outcome(alone)
+
+    @given(n=st.integers(0, 3),
+           values=st.lists(st.floats(-1e3, 1e3), min_size=12, max_size=12),
+           n_rows=st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_tiny_grids_never_acquire(self, n, values, n_rows):
+        traces = [SignalTrace(np.array(values[3 * r:3 * r + n]), 100.0)
+                  for r in range(n_rows)]
+        for n_data in (4, None):
+            stacked = decode_rows(traces, n_data)
+            assert [type(r) for r in stacked] == [
+                type(decode_rows([t], n_data)[0]) for t in traces]
+            assert all(isinstance(r, PreambleNotFoundError)
+                       for r in stacked)
+
+    def test_mixed_grids_rejected(self):
+        trace = synthetic_packet_trace("HLHLLHHL")
+        shifted = SignalTrace(trace.samples, trace.sample_rate_hz, 0.5)
+        with pytest.raises(ValueError, match="one sample grid"):
+            decode_rows([trace, shifted], 4)
+        with pytest.raises(ValueError, match="one sample grid"):
+            decode_rows([trace, SignalTrace(trace.samples[:-1],
+                                            trace.sample_rate_hz)], 4)
+
+    def test_errors_are_returned_not_raised(self):
+        packet = synthetic_packet_trace("HLHLLHHL")
+        flat = SignalTrace(np.full(len(packet.samples), 7.0), 200.0)
+        good, missing = decode_rows([packet, flat], 4)
+        assert good.bit_string() == "10"
+        assert isinstance(missing, PreambleNotFoundError)
+        assert decode_rows([], 4) == []

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import signal as sp_signal
 
+import repro.dsp.peaks as peaks_mod
 from repro.dsp.peaks import (
     Extremum,
     find_peaks_and_valleys,
@@ -131,3 +133,50 @@ class TestDegenerateWindows:
                         np.full(100, 7.0), np.array([1.0, 2.0])):
             with pytest.raises(PreambleNotFoundError):
                 decoder.acquire_preamble(SignalTrace(samples, 100.0))
+
+
+class TestProminentPeaksFallback:
+    """``_prominent_peaks`` calls scipy's private peak routines directly;
+    the public ``find_peaks`` path must select the very same peaks."""
+
+    @staticmethod
+    def _signals(seed):
+        rng = np.random.default_rng(seed)
+        walk = np.cumsum(rng.normal(size=500))
+        noise = rng.normal(size=500)
+        # Quantised samples produce plateaus (equal neighbours).
+        steps = np.round(walk / 3.0)
+        return [walk, -walk, noise, steps]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_public_fallback_matches_private_path(self, seed, monkeypatch):
+        if peaks_mod._pfu is None:
+            pytest.skip("this scipy ships no private peak routines")
+        cases = [(x, frac * float(x.max() - x.min()))
+                 for x in self._signals(seed)
+                 for frac in (0.0, 0.05, 0.2, 0.6)]
+        private = [peaks_mod._prominent_peaks(x, prom, None)
+                   for x, prom in cases]
+        monkeypatch.setattr(peaks_mod, "_pfu", None)
+        for (x, prom), expected in zip(cases, private):
+            got = peaks_mod._prominent_peaks(x, prom, None)
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(
+                got, sp_signal.find_peaks(x, prominence=prom)[0])
+
+    @pytest.mark.parametrize("distance", [1, 5, 40])
+    def test_distance_branch_uses_find_peaks(self, distance):
+        for x in self._signals(3):
+            prom = 0.05 * float(x.max() - x.min())
+            got = peaks_mod._prominent_peaks(x, prom, distance)
+            np.testing.assert_array_equal(
+                got, sp_signal.find_peaks(x, prominence=prom,
+                                          distance=distance)[0])
+            assert np.all(np.diff(got) >= distance)
+
+    def test_min_distance_reaches_the_distance_branch(self):
+        x, _ = hlhl_wave(n_cycles=4)
+        wide = find_peaks_and_valleys(x, 100.0, min_distance_s=2.5)
+        close = find_peaks_and_valleys(x, 100.0)
+        assert len([e for e in close if e.kind == "peak"]) > len(
+            [e for e in wide if e.kind == "peak"]) >= 1

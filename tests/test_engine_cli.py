@@ -42,6 +42,12 @@ class TestRun:
         assert main(["run", "--set", "wavelength=650"]) == 2
         assert "repro-engine" in capsys.readouterr().err
 
+    def test_non_finite_value_is_a_usage_error(self, capsys):
+        assert main(["run", *FAST_SETS, "--set", "speed_mps=nan"]) == 2
+        captured = capsys.readouterr()
+        assert "speed_mps must be finite" in captured.err
+        assert captured.out == ""
+
 
 class TestSweep:
     def test_sweep_axes_out_and_cache(self, tmp_path, capsys):

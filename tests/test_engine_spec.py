@@ -1,5 +1,7 @@
 """Tests for repro.engine.spec — declarative scenarios and grids."""
 
+import dataclasses
+
 import pytest
 
 from repro.engine import GridSpec, ScenarioSpec, expand_grid, grid_size
@@ -35,6 +37,24 @@ class TestValidation:
     def test_bad_field_rejected(self, updates):
         with pytest.raises(ValueError):
             ScenarioSpec(**updates)
+
+    FLOAT_FIELDS = ("symbol_width_m", "receiver_height_m", "speed_mps",
+                    "lamp_intensity_cd", "lamp_offset_m", "ground_lux",
+                    "fluorescent_height_m", "dirt", "visibility_m",
+                    "start_position_m", "sample_rate_hz", "motion_param",
+                    "receiver_spacing_m", "stream_feed_hz")
+
+    def test_float_field_list_is_complete(self):
+        assert {f.name for f in dataclasses.fields(ScenarioSpec)
+                if f.type in ("float", "float | None")} == set(
+                    self.FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            outdoor_spec(**{name: value})
 
     def test_dirt_on_car_rejected(self):
         with pytest.raises(ValueError):

@@ -8,20 +8,23 @@ specs.  The float32 path trades that for speed and is held to a weaker
 (but still deterministic) contract.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.decoder as decoder_mod
 import repro.tensor.batch as batch_mod
-from repro.dsp.peaks import Extremum, first_preamble_points
+from repro.dsp.peaks import Extremum, _first_triple, first_preamble_points
 from repro.engine.cache import ResultCache
 from repro.engine.executor import execute_scenario
 from repro.engine.runner import BatchRunner
 from repro.engine.spec import ScenarioSpec, expand_grid
+from repro.exec.graph import ExecStage, profiled
 from repro.scenarios.library import expand_family, family_names
 from repro.tensor.batch import (
-    _first_triple,
     clear_plan_cache,
     execute_batch,
     fast_path_eligible,
@@ -139,6 +142,24 @@ class TestGrouping:
         _assert_byte_identical(specs)
 
 
+def _literal_first_triple(extrema):
+    """The A/B/C scan written out over Extremum objects (the oracle)."""
+    a = b = None
+    for ext in extrema:
+        if ext.kind == "peak":
+            if a is None:
+                a = ext
+            elif b is not None:
+                return (a, b, ext)
+            elif ext.value > a.value:
+                a = ext
+        elif a is not None and b is None:
+            b = ext
+        elif a is not None and b is not None and ext.value < b.value:
+            b = ext
+    return None
+
+
 class TestFirstTripleScan:
     @given(st.lists(st.tuples(st.booleans(),
                               st.floats(-10.0, 10.0, allow_nan=False)),
@@ -151,13 +172,38 @@ class TestFirstTripleScan:
         extrema = [Extremum(int(idx[j]), idx[j] / 100.0, float(val[j]),
                             "peak" if is_peak[j] else "valley")
                    for j in range(len(seq))]
-        oracle = first_preamble_points(extrema)
-        got = _first_triple(idx, val, is_peak)
+        oracle = _literal_first_triple(extrema)
+        assert first_preamble_points(extrema) == oracle
+        got = _first_triple(val, is_peak)
         if oracle is None:
             assert got is None
         else:
             assert got is not None
             assert tuple(extrema[j] for j in got) == oracle
+
+
+class TestStageCoverage:
+    def test_acquire_stage_covers_the_peak_search(self, monkeypatch):
+        """The acquisition scan (peak search, triple scan, plausibility)
+        is timed as ``acquire`` on the tensor driver too."""
+        pause_s = 0.002
+        calls = []
+        real = decoder_mod._prominent_peaks
+
+        def slow_peaks(x, prominence, distance):
+            calls.append(1)
+            time.sleep(pause_s)
+            return real(x, prominence, distance)
+
+        monkeypatch.setattr(decoder_mod, "_prominent_peaks", slow_peaks)
+        specs = expand_grid(FAST, {"seed": [2, 3, 4, 5]})
+        with profiled():
+            records = execute_batch(specs)
+        assert calls
+        # Each record carries a 1/n share of the group's fused stages.
+        acquire_s = sum(r.stage_trace.timings_s[ExecStage.ACQUIRE.value]
+                        for r in records)
+        assert acquire_s >= len(calls) * pause_s
 
 
 class TestRunnerIntegration:

@@ -1,4 +1,4 @@
-"""Differential tests for repro.tensor.rmq against numpy oracles.
+"""Differential tests for repro.dsp.rmq against numpy oracles.
 
 Every primitive here carries an *exactness* contract (identical floats
 / identical indices to the obvious sequential formulation), so each
@@ -8,7 +8,7 @@ test is a randomized differential against the direct numpy answer.
 import numpy as np
 import pytest
 
-from repro.tensor.rmq import (
+from repro.dsp.rmq import (
     build_table,
     grid_searchsorted,
     log_table,
