@@ -23,18 +23,15 @@ normalisation.  Two interchangeable dynamic-program kernels exist:
   It fills exactly the same cells in the same arithmetic order as the
   reference, so the accumulated-cost matrix — and therefore distances,
   normalised distances and paths — are bit-identical.
-* ``implementation="compiled"`` — the numba-JIT banded loop from
-  :mod:`repro.tensor.kernels`.  Optional: it raises ``RuntimeError``
-  when numba is absent or disabled via ``REPRO_DISABLE_NUMBA``.
 
-``implementation="auto"`` (the default) picks the compiled kernel when
-available, else the vectorized one, once the cost matrix is large
-enough to amortise per-call overhead; small problems stay on the
-pure-Python loop.
+``implementation="auto"`` (the default) picks the vectorized kernel
+once the cost matrix is large enough to amortise per-call overhead;
+small problems stay on the pure-Python loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,26 +42,6 @@ __all__ = ["DtwResult", "dtw_distance", "dtw"]
 #: pure-Python loop (the crossover sits around a few thousand cells;
 #: below it the per-diagonal NumPy call overhead dominates).
 VECTORIZE_MIN_CELLS = 4096
-
-_COMPILED_STATE: bool | None = None
-
-
-def _compiled_available() -> bool:
-    """Cached probe for the optional compiled kernel.
-
-    Lazy so this module never imports :mod:`repro.tensor` (which itself
-    imports ``_band_limits`` from here) at load time, and cached so the
-    ``auto`` path pays the probe exactly once per process.
-    """
-    global _COMPILED_STATE
-    if _COMPILED_STATE is None:
-        try:
-            from ..tensor.kernels import HAVE_NUMBA
-            _COMPILED_STATE = bool(HAVE_NUMBA)
-        except Exception:
-            _COMPILED_STATE = False
-    return _COMPILED_STATE
-
 
 @dataclass
 class DtwResult:
@@ -200,29 +177,29 @@ def dtw(a: np.ndarray, b: np.ndarray, band_fraction: float | None = 0.2,
             (the paper's speed never changes by more than 2x).
         return_path: include the alignment path in the result.
         implementation: ``"auto"`` (size-based choice), ``"reference"``
-            (pure-Python loop), ``"vectorized"`` (wavefront kernel) or
-            ``"compiled"`` (optional numba kernel).  All kernels
-            produce bit-identical results.
+            (pure-Python loop) or ``"vectorized"`` (wavefront kernel).
+            Both kernels produce bit-identical results.
 
     Raises:
-        ValueError: on empty inputs, an infeasible band, or an unknown
-            implementation name.
-        RuntimeError: on ``implementation="compiled"`` when numba is
-            unavailable or disabled.
+        ValueError: on empty or non-finite inputs, a non-positive or
+            non-finite band fraction, an infeasible band, or an
+            unknown implementation name.
     """
-    if implementation not in ("auto", "reference", "vectorized",
-                              "compiled"):
+    if implementation not in ("auto", "reference", "vectorized"):
         raise ValueError(
-            f"implementation must be 'auto', 'reference', 'vectorized' "
-            f"or 'compiled', got {implementation!r}")
+            f"implementation must be 'auto', 'reference' or 'vectorized', "
+            f"got {implementation!r}")
     x = np.asarray(a, dtype=float).ravel()
     y = np.asarray(b, dtype=float).ravel()
     if len(x) == 0 or len(y) == 0:
         raise ValueError("cannot align empty sequences")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("cannot align non-finite samples (NaN or inf)")
     band: int | None = None
     if band_fraction is not None:
-        if band_fraction <= 0.0:
-            raise ValueError(f"band fraction must be positive, got {band_fraction}")
+        if not (math.isfinite(band_fraction) and band_fraction > 0.0):
+            raise ValueError(f"band_fraction must be positive and finite, "
+                             f"got {band_fraction}")
         band = max(1, int(round(band_fraction * max(len(x), len(y)))))
         # The band must at least cover the length difference or no
         # monotone path exists.
@@ -232,18 +209,12 @@ def dtw(a: np.ndarray, b: np.ndarray, band_fraction: float | None = 0.2,
         # shrinks the work to ~n rows of (2*band + 1) columns, where
         # the loop's small constant beats per-diagonal NumPy overhead.
         columns = len(y) if band is None else min(len(y), 2 * band + 1)
-        if len(x) * columns >= VECTORIZE_MIN_CELLS:
-            implementation = ("compiled" if _compiled_available()
-                              else "vectorized")
-        else:
-            implementation = "reference"
-    if implementation == "compiled":
-        from ..tensor.kernels import compiled_cost_matrix
-        acc = compiled_cost_matrix(x, y, band)
-    else:
-        kernel = (_cost_matrix_vectorized
-                  if implementation == "vectorized" else _cost_matrix)
-        acc = kernel(x, y, band)
+        implementation = ("vectorized"
+                          if len(x) * columns >= VECTORIZE_MIN_CELLS
+                          else "reference")
+    kernel = (_cost_matrix_vectorized
+              if implementation == "vectorized" else _cost_matrix)
+    acc = kernel(x, y, band)
     distance = float(acc[-1, -1])
     if not np.isfinite(distance):
         raise ValueError("no feasible alignment path (band too narrow)")

@@ -1,24 +1,13 @@
-"""Content-addressed result cache, behind a pluggable backend.
+"""Content-addressed result cache.
 
-:class:`CacheBackend` is the protocol the batch runner talks to; two
-implementations ship:
-
-* :class:`ResultCache` — one JSON file per resolved-spec hash, sharded
-  by the first two hex digits (``<root>/ab/<hash>.json``) so
-  directories stay small even for hundred-thousand-scenario sweeps.
-  Writes are atomic (temp file + rename), which makes the cache safe
-  to share between the parallel workers of several concurrent sweeps:
-  a reader either sees a complete record or a miss, never a torn file.
-* :class:`SqliteResultCache` — a single SQLite database in WAL mode
-  (``<root>/records.sqlite``): one inode instead of one per record,
-  and safe under concurrent writers because record payloads are
-  deterministic per key, so last-writer-wins upserts are idempotent.
-
-Both keep the same content-hash keys and byte-identical record
-payloads — a sweep's records do not depend on which backend cached
-them.  :func:`open_cache` selects a backend by name (CLI
-``--cache-backend``, or the ``REPRO_CACHE_BACKEND`` environment
-variable for CI legs).
+:class:`CacheBackend` is the protocol the batch runner talks to;
+:class:`ResultCache` is the one implementation that ships — a single
+SQLite database in WAL mode (``<root>/records.sqlite``).  One inode
+instead of one per record, and safe under concurrent writers because
+record payloads are deterministic per key, so last-writer-wins upserts
+are idempotent.  Anything else under the cache directory (for example
+the per-record JSON files an older store wrote there) is ignored, so
+such a directory simply reads as cold misses.
 
 Any spec change — a different seed, a nudged height, a new decoder —
 changes the content hash and therefore misses the cache; stale entries
@@ -28,29 +17,17 @@ are never returned, only orphaned (and reclaimable via ``clear``).
 from __future__ import annotations
 
 import json
-import os
 import sqlite3
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 from ..faults.retry import RetryExhausted, RetryPolicy
 from ..obs.events import active_events
 from ..obs.registry import MetricsRegistry, active_registry
 from .records import RunRecord
 
-__all__ = ["BACKEND_ENV", "CACHE_BACKENDS", "CacheBackend", "CacheStats",
-           "ResultCache", "SqliteResultCache", "open_cache"]
-
-#: Recognised backend names, in default-preference order.
-CACHE_BACKENDS = ("disk", "sqlite")
-
-#: Environment override consulted when no backend is named explicitly
-#: (CI legs run whole suites against one backend through this).
-BACKEND_ENV = "REPRO_CACHE_BACKEND"
-
-_HEX = set("0123456789abcdef")
+__all__ = ["CacheBackend", "CacheStats", "ResultCache"]
 
 
 @dataclass
@@ -59,7 +36,7 @@ class CacheStats:
 
     Attributes:
         hits: lookups that returned a record.
-        misses: lookups that found nothing (or an unreadable file).
+        misses: lookups that found nothing (or an unreadable entry).
         writes: records persisted.
         write_retries: transient IO errors that a retry absorbed.
     """
@@ -144,133 +121,6 @@ class CacheBackend(Protocol):
 
 
 class ResultCache:
-    """Disk-backed spec-hash -> :class:`RunRecord` store.
-
-    Args:
-        root: cache directory (created if missing).
-        retry_policy: bounded-retry policy for transient ``OSError``
-            on writes (a shared cache on network storage hiccups;
-            a busy tmpfs briefly runs out of inodes).  Default: three
-            attempts, 10 ms base backoff.  Non-transient errors keep
-            failing and propagate after the budget.
-    """
-
-    #: Telemetry label for this backend.
-    backend_name = "disk"
-
-    def __init__(self, root: str | Path,
-                 retry_policy: RetryPolicy | None = None) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = CacheStats()
-        self.retry_policy = retry_policy or RetryPolicy(
-            max_attempts=3, base_delay_s=0.01)
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
-    def _entries(self) -> Iterator[Path]:
-        """Paths that are actually record entries.
-
-        A record lives at ``<root>/<hh>/<64-hex-hash>.json`` with the
-        shard matching the hash prefix; anything else in the tree — a
-        stray notes file, a foreign ``.json``, a leftover editor
-        buffer — is not ours and is never counted or deleted.
-        """
-        for path in self.root.glob("??/*.json"):
-            stem = path.stem
-            if (len(stem) == 64 and stem.startswith(path.parent.name)
-                    and set(stem) <= _HEX):
-                yield path
-
-    def _read(self, key: str) -> RunRecord | None:
-        """Parse the record under ``key``, or None when unreadable."""
-        try:
-            data = json.loads(self._path(key).read_text())
-            return RunRecord.from_dict(data)
-        except (OSError, ValueError, TypeError):
-            return None
-
-    def get(self, key: str) -> RunRecord | None:
-        """The cached record for a spec hash, or None.
-
-        Corrupt or half-written files count as misses rather than
-        errors — the scenario simply re-executes and overwrites them.
-        """
-        record = self._read(key)
-        _observe_lookup(self.backend_name, key, hit=record is not None)
-        if record is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return record
-
-    def _write_atomic(self, path: Path, payload: str) -> None:
-        """One atomic write attempt: temp file in-dir, then rename."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def put(self, record: RunRecord) -> None:
-        """Persist a record atomically under its spec hash.
-
-        Transient ``OSError`` (network-storage hiccup, inode pressure)
-        is retried under :attr:`retry_policy`; a persistent error
-        propagates as the original ``OSError`` once the budget is
-        spent, so callers see the same exception type as before.
-        """
-        path = self._path(record.spec_hash)
-        payload = json.dumps(record.to_dict())
-        before = self.retry_policy.retries
-        try:
-            self.retry_policy.call(
-                lambda: self._write_atomic(path, payload),
-                retry_on=(OSError,))
-        except RetryExhausted as exc:
-            self.stats.write_retries += self.retry_policy.retries - before
-            raise exc.last from exc
-        self.stats.write_retries += self.retry_policy.retries - before
-        self.stats.writes += 1
-        _observe_write(self.backend_name,
-                       self.retry_policy.retries - before)
-
-    def __contains__(self, key: str) -> bool:
-        """Membership mirrors :meth:`get`: a corrupt or torn file that
-        ``get`` would treat as a miss is not "in" the cache either."""
-        return self._read(key) is not None
-
-    def __len__(self) -> int:
-        """Entry *files* on disk — a cheap count that, unlike the
-        parsing ``in``/``get``, may include unreadable entries but
-        never foreign files (see :meth:`_entries`)."""
-        return sum(1 for _ in self._entries())
-
-    def clear(self) -> int:
-        """Delete every cached record; returns how many were removed.
-
-        Only record entries are touched — foreign files that happen to
-        live under the cache root are left alone.
-        """
-        removed = 0
-        for path in self._entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-
-class SqliteResultCache:
     """SQLite-backed spec-hash -> :class:`RunRecord` store.
 
     One ``records.sqlite`` database under ``root``, in WAL mode so
@@ -282,8 +132,7 @@ class SqliteResultCache:
 
     Args:
         root: cache directory (created if missing); the database file
-            lives inside it, so ``--cache-dir`` means the same thing
-            for both backends.
+            lives inside it.
         retry_policy: bounded-retry policy for transient write
             failures (``sqlite3.OperationalError`` — e.g. a lock
             still held past the busy timeout — and ``OSError``).
@@ -325,20 +174,25 @@ class SqliteResultCache:
             "key TEXT PRIMARY KEY, payload TEXT NOT NULL)")
         self._conn.commit()
 
-    def get(self, key: str) -> RunRecord | None:
-        """The cached record for a spec hash, or None.
-
-        An unparsable payload counts as a miss, mirroring the disk
-        backend's treatment of corrupt files.
-        """
+    def _read(self, key: str) -> RunRecord | None:
+        """Parse the record under ``key``, or None when absent or
+        unreadable."""
         try:
             row = self._conn.execute(
                 "SELECT payload FROM records WHERE key = ?",
                 (key,)).fetchone()
-            record = (RunRecord.from_dict(json.loads(row[0]))
-                      if row is not None else None)
+            return (RunRecord.from_dict(json.loads(row[0]))
+                    if row is not None else None)
         except (sqlite3.Error, ValueError, TypeError):
-            record = None
+            return None
+
+    def get(self, key: str) -> RunRecord | None:
+        """The cached record for a spec hash, or None.
+
+        An unparsable payload counts as a miss rather than an error —
+        the scenario simply re-executes and overwrites it.
+        """
+        record = self._read(key)
         _observe_lookup(self.backend_name, key, hit=record is not None)
         if record is None:
             self.stats.misses += 1
@@ -375,21 +229,9 @@ class SqliteResultCache:
                        self.retry_policy.retries - before)
 
     def __contains__(self, key: str) -> bool:
-        """Membership mirrors :meth:`get` (and the disk backend): an
-        unparsable stored payload is not "in" the cache."""
-        try:
-            payload = self.get_payload(key)
-            if payload is None:
-                return False
-            return RunRecord.from_dict(json.loads(payload)) is not None
-        except (sqlite3.Error, ValueError, TypeError):
-            return False
-
-    def get_payload(self, key: str) -> str | None:
-        """The raw stored JSON for a key (tests and diagnostics)."""
-        row = self._conn.execute(
-            "SELECT payload FROM records WHERE key = ?", (key,)).fetchone()
-        return row[0] if row is not None else None
+        """Membership mirrors :meth:`get`: an unparsable stored payload
+        is not "in" the cache."""
+        return self._read(key) is not None
 
     def __len__(self) -> int:
         return int(self._conn.execute(
@@ -410,27 +252,3 @@ class SqliteResultCache:
 
     def __del__(self) -> None:  # pragma: no cover - GC timing
         self.close()
-
-
-def open_cache(root: str | Path, backend: str | None = None,
-               retry_policy: RetryPolicy | None = None) -> CacheBackend:
-    """Open a result cache at ``root`` with the named backend.
-
-    Args:
-        root: cache directory.
-        backend: ``"disk"`` or ``"sqlite"``; None consults the
-            ``REPRO_CACHE_BACKEND`` environment variable and falls
-            back to ``"disk"``.
-        retry_policy: forwarded to the backend.
-
-    Raises:
-        ValueError: on an unrecognised backend name.
-    """
-    name = backend if backend is not None else (
-        os.environ.get(BACKEND_ENV, "").strip().lower() or "disk")
-    if name not in CACHE_BACKENDS:
-        raise ValueError(f"cache backend must be one of {CACHE_BACKENDS}, "
-                         f"got {name!r}")
-    if name == "sqlite":
-        return SqliteResultCache(root, retry_policy=retry_policy)
-    return ResultCache(root, retry_policy=retry_policy)

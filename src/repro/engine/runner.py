@@ -29,7 +29,7 @@ from typing import Iterable, Mapping, Sequence
 from ..faults.retry import RetryPolicy
 from ..obs.events import active_events
 from ..obs.registry import MetricsRegistry, active_registry
-from .cache import CacheBackend, open_cache
+from .cache import CacheBackend, ResultCache
 from .executor import error_record, execute_scenario
 from .records import RecordStage, RunRecord
 from .spec import ScenarioSpec, expand_grid
@@ -205,13 +205,8 @@ class BatchRunner:
         workers: worker processes; 1 runs everything in-process (the
             serial fallback — no pool, no pickling, easiest to debug).
         cache: optional :class:`CacheBackend` instance, or a cache
-            *directory* (str/Path) opened via :func:`open_cache` with
-            ``cache_backend``; hits skip simulation.
-        cache_backend: backend name (``"disk"``/``"sqlite"``) used when
-            ``cache`` is a directory path; None consults the
-            ``REPRO_CACHE_BACKEND`` environment variable.  Only valid
-            alongside a path — passing it with a ready-made backend
-            instance is a contradiction and raises.
+            *directory* (str/Path) opened as a :class:`ResultCache`;
+            hits skip simulation.
         chunk_size: scenarios per pool task — amortizes IPC overhead
             for thousand-scenario grids of cheap simulations.
         backend: ``"process"`` (the pool / serial path above) or
@@ -252,17 +247,11 @@ class BatchRunner:
                  dtype: str = "float64",
                  retry_policy: RetryPolicy | None = None,
                  scenario_timeout_s: float | None = None,
-                 max_failures: int | None = None,
-                 cache_backend: str | None = None) -> None:
+                 max_failures: int | None = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if isinstance(cache, (str, Path)):
-            cache = open_cache(cache, cache_backend)
-        elif cache_backend is not None:
-            raise ValueError(
-                "cache_backend selects how a cache *path* is opened; "
-                "pass cache as a directory, or construct the backend "
-                "yourself and drop cache_backend")
+            cache = ResultCache(cache)
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         if backend not in self.BACKENDS:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -110,6 +111,12 @@ class FaultPlan:
     exec_sleep_s: float = 0.0
 
     def __post_init__(self) -> None:
+        # NaN slips through every ordered comparison below, and inf
+        # through the one-sided ones, so non-finite values go first.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for name in PROBABILITY_FIELDS:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -185,8 +192,9 @@ class FaultPlan:
         shape parameters (burst length, dropout length, delay span,
         ``exec_sleep_s``) are left alone.
         """
-        if intensity < 0.0:
-            raise ValueError(f"intensity must be >= 0, got {intensity}")
+        if not (math.isfinite(intensity) and intensity >= 0.0):
+            raise ValueError(
+                f"intensity must be finite and >= 0, got {intensity}")
         updates: dict[str, Any] = {}
         for name in PROBABILITY_FIELDS:
             updates[name] = min(1.0, getattr(self, name) * intensity)

@@ -10,7 +10,6 @@ module, never the other way around.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -21,68 +20,15 @@ from .decode import DecodeEvent, StreamDecoder
 
 __all__ = ["iter_chunks", "replay_trace", "StreamReplay"]
 
-#: Opt-in transport stress for CI: when set to a loss probability in
-#: (0, 1), every chunk feed produced by :func:`iter_chunks` models a
-#: lossy link with retransmission — a "lost" chunk's delivery slot
-#: arrives empty and its samples ride with the next delivery.  Sample
-#: content and order are preserved, so every decode output stays
-#: byte-identical (the chunking-invariance guarantee under test);
-#: only chunk boundaries and wall-clock pacing shift.
-STRESS_ENV = "REPRO_STREAM_CHUNK_LOSS"
-
-
-def _stress_loss() -> float:
-    raw = os.environ.get(STRESS_ENV)
-    if not raw:
-        return 0.0
-    try:
-        p = float(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{STRESS_ENV} must be a probability, got {raw!r}") from exc
-    if not 0.0 <= p < 1.0:
-        raise ValueError(
-            f"{STRESS_ENV} must be in [0, 1), got {p}")
-    return p
-
-
-def _lossy_link(chunks: Iterator[np.ndarray], loss: float,
-                seed: tuple[int, ...]) -> Iterator[np.ndarray]:
-    """Deterministic loss-with-retransmission over a chunk feed.
-
-    Each chunk is lost in transit with probability ``loss``: its slot
-    delivers zero samples and the payload is retransmitted with the
-    next delivery (one trailing slot flushes a loss on the final
-    chunk).  The assembled stream is unchanged — this perturbs the
-    *transport boundaries*, which downstream decode must be invariant
-    to.
-    """
-    rng = np.random.default_rng(seed)
-    carry: np.ndarray | None = None
-    empty: np.ndarray | None = None
-    for chunk in chunks:
-        if carry is not None:
-            chunk = np.concatenate([carry, chunk])
-            carry = None
-        if rng.random() < loss:
-            carry = chunk
-            if empty is None:
-                empty = np.zeros(0, dtype=np.asarray(chunk).dtype)
-            yield empty
-        else:
-            yield chunk
-    if carry is not None:
-        yield carry
-
 
 def iter_chunks(samples: np.ndarray,
                 chunk_size: int) -> Iterator[np.ndarray]:
     """Split a sample array into consecutive chunks of ``chunk_size``.
 
     The final chunk carries the remainder.  Chunks are views — cheap,
-    but consumers must copy before mutating.  When the
-    ``REPRO_STREAM_CHUNK_LOSS`` stress knob is set, the feed passes
-    through a deterministic lossy-link model (see :data:`STRESS_ENV`).
+    but consumers must copy before mutating.  A lossy transport is
+    modelled by a :class:`~repro.faults.FaultPlan` (``chunk_*``
+    fields), not here.
 
     Raises:
         ValueError: for ``chunk_size < 1``.
@@ -90,17 +36,8 @@ def iter_chunks(samples: np.ndarray,
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     arr = np.asarray(samples)
-
-    def plain() -> Iterator[np.ndarray]:
-        for start in range(0, len(arr), chunk_size):
-            yield arr[start:start + chunk_size]
-
-    loss = _stress_loss()
-    if loss:
-        # Seeded from the feed's shape so a rerun of the same test is
-        # byte-identical, while distinct feeds draw distinct losses.
-        return _lossy_link(plain(), loss, seed=(len(arr), chunk_size))
-    return plain()
+    return (arr[start:start + chunk_size]
+            for start in range(0, len(arr), chunk_size))
 
 
 @dataclass

@@ -4,26 +4,18 @@ Public surface:
 
 * :func:`execute_batch` — run N scenarios as fused ``(N, T)`` array
   passes in one process (see :mod:`repro.tensor.batch`).
-* :data:`HAVE_NUMBA` / :func:`numba_disabled` — compiled-kernel
-  availability (see :mod:`repro.tensor.kernels`).
 
-The package init stays import-light: :mod:`.kernels` needs only numpy
-(plus an optional numba probe), while the heavy batch executor loads
-lazily on first attribute access so that :mod:`repro.dsp.dtw`'s
-``implementation="auto"`` probe can ask about the compiled kernel
-without dragging in the whole engine.
+The batch executor loads lazily on first attribute access because
+:mod:`.batch` imports :mod:`repro.engine.executor`; an eager import
+here would load the whole engine on every ``import repro.tensor``.
 """
 
 from __future__ import annotations
 
-from .kernels import HAVE_NUMBA, NUMBA_DISABLED_ENV, numba_disabled
-
-__all__ = ["HAVE_NUMBA", "NUMBA_DISABLED_ENV", "numba_disabled",
-           "DTYPES", "execute_batch", "optical_key",
-           "fast_path_eligible", "clear_plan_cache"]
-
 _BATCH_EXPORTS = ("DTYPES", "execute_batch", "optical_key",
                   "fast_path_eligible", "clear_plan_cache")
+
+__all__ = list(_BATCH_EXPORTS)
 
 
 def __getattr__(name: str):

@@ -40,6 +40,14 @@ class TestBasicProperties:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             dtw_distance(np.array([]), np.array([1.0]))
+        # Non-finite samples are bad input too, named as such rather
+        # than misreported as an infeasible band.
+        clean = np.zeros(5)
+        for bad in (np.nan, np.inf, -np.inf):
+            dirty = np.array([0.0, 1.0, bad, 0.5, 0.0])
+            for a, b in ((dirty, clean), (clean, dirty)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    dtw(a, b)
 
 
 class TestWarpingInvariance:
@@ -86,8 +94,9 @@ class TestBand:
             a, b, band_fraction=0.1) + 1e-12
 
     def test_invalid_band(self):
-        with pytest.raises(ValueError):
-            dtw(np.zeros(5), np.zeros(5), band_fraction=0.0)
+        for bad in (0.0, -0.2, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="band_fraction"):
+                dtw(np.zeros(5), np.zeros(5), band_fraction=bad)
 
 
 _signal = st.lists(st.floats(min_value=-1e6, max_value=1e6,
@@ -151,7 +160,7 @@ class TestVectorizedEquivalence:
 
     def test_unknown_implementation_rejected(self):
         with pytest.raises(ValueError):
-            dtw(np.zeros(4), np.zeros(4), implementation="numba")
+            dtw(np.zeros(4), np.zeros(4), implementation="jit")
 
 
 class TestPath:

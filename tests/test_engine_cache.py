@@ -1,6 +1,7 @@
 """Tests for repro.engine.cache — the content-hash result store."""
 
 import json
+import sqlite3
 
 import pytest
 
@@ -23,6 +24,13 @@ def make_record(spec_hash="ab" + "0" * 62, seed=7, success=True):
         noise_floor_lux=450.0,
         elapsed_s=0.01,
     )
+
+
+def store_raw(cache, key, payload):
+    """Write ``payload`` under ``key`` behind the cache's back."""
+    with sqlite3.connect(cache.path) as conn:
+        conn.execute("INSERT OR REPLACE INTO records (key, payload) "
+                     "VALUES (?, ?)", (key, payload))
 
 
 class TestRoundtrip:
@@ -62,14 +70,14 @@ class TestRobustness:
         cache = ResultCache(tmp_path)
         record = make_record()
         cache.put(record)
-        cache._path(record.spec_hash).write_text("{not json")
+        store_raw(cache, record.spec_hash, "{not json")
         assert cache.get(record.spec_hash) is None
 
     def test_wrong_schema_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         record = make_record()
         cache.put(record)
-        cache._path(record.spec_hash).write_text(json.dumps({"bogus": 1}))
+        store_raw(cache, record.spec_hash, json.dumps({"bogus": 1}))
         assert cache.get(record.spec_hash) is None
 
     def test_clear(self, tmp_path):
@@ -87,14 +95,11 @@ class TestRobustness:
 
 
 class TestCorruptEntries:
-    """Regression: membership must mirror readability — a torn file
-    that ``get()`` treats as a miss used to satisfy ``in``."""
+    """Regression: membership must mirror readability — a torn entry
+    that ``get()`` treats as a miss must not satisfy ``in``."""
 
     def _corrupt(self, cache, record, text):
-        path = cache.root / record.spec_hash[:2] / f"{record.spec_hash}.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
-        return path
+        store_raw(cache, record.spec_hash, text)
 
     def test_torn_file_not_contained(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -141,61 +146,84 @@ class TestInvalidation:
         assert cache.get(nudged.content_hash()) is None
 
 
+class TestLegacyDirectory:
+    def test_old_json_shards_read_as_misses(self, tmp_path):
+        """A directory holding per-record JSON files from an older store
+        is a cold cache: the files are neither read nor touched."""
+        record = make_record()
+        shard = tmp_path / record.spec_hash[:2]
+        shard.mkdir()
+        legacy = shard / f"{record.spec_hash}.json"
+        legacy.write_text(json.dumps(record.to_dict()))
+        cache = ResultCache(tmp_path)
+        assert cache.get(record.spec_hash) is None
+        assert len(cache) == 0
+        cache.put(record)
+        assert cache.clear() == 1
+        assert legacy.exists()
+
+
+class _FlakyConnection:
+    """Connection proxy whose record upserts fail ``fail_times`` times."""
+
+    def __init__(self, conn, fail_times, error):
+        self.conn = conn
+        self.left = fail_times
+        self.error = error
+
+    def execute(self, sql, *args):
+        if sql.startswith("INSERT") and self.left > 0:
+            self.left -= 1
+            raise self.error
+        return self.conn.execute(sql, *args)
+
+    def __enter__(self):
+        return self.conn.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self.conn.__exit__(*exc_info)
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
 class TestWriteRetry:
-    """Transient IO errors on put() are absorbed by the retry policy."""
+    """Transient write errors on put() are absorbed by the retry policy."""
 
-    def _flaky_cache(self, tmp_path, fail_times, max_attempts=3):
-        import os
+    LOCKED = sqlite3.OperationalError("database is locked")
 
+    def _flaky_cache(self, tmp_path, fail_times, error=LOCKED,
+                     max_attempts=3):
         from repro.faults.retry import RetryPolicy
 
         cache = ResultCache(tmp_path, retry_policy=RetryPolicy(
             max_attempts=max_attempts, base_delay_s=0.0))
-        real_replace = os.replace
-        state = {"left": fail_times}
+        cache._conn = _FlakyConnection(cache._conn, fail_times, error)
+        return cache
 
-        def flaky_replace(src, dst):
-            if state["left"] > 0:
-                state["left"] -= 1
-                raise OSError("transient storage hiccup")
-            return real_replace(src, dst)
-
-        return cache, flaky_replace
-
-    def test_transient_error_retried_to_success(self, tmp_path,
-                                                monkeypatch):
-        import os
-
-        cache, flaky = self._flaky_cache(tmp_path, fail_times=2)
-        monkeypatch.setattr(os, "replace", flaky)
+    def test_transient_error_retried_to_success(self, tmp_path):
+        cache = self._flaky_cache(tmp_path, fail_times=2)
         record = make_record()
         cache.put(record)
-        monkeypatch.undo()
         assert cache.get(record.spec_hash) == record
         assert cache.stats.writes == 1
         assert cache.stats.write_retries == 2
 
-    def test_persistent_error_propagates_as_oserror(self, tmp_path,
-                                                    monkeypatch):
-        import os
-
-        cache, flaky = self._flaky_cache(tmp_path, fail_times=99)
-        monkeypatch.setattr(os, "replace", flaky)
+    def test_persistent_error_propagates_as_oserror(self, tmp_path):
+        cache = self._flaky_cache(tmp_path, fail_times=99,
+                                  error=OSError("storage hiccup"))
+        before = cache.retry_policy.attempts_made  # the schema set-up
         with pytest.raises(OSError, match="hiccup"):
             cache.put(make_record())
-        monkeypatch.undo()
         assert cache.stats.writes == 0
-        assert cache.retry_policy.attempts_made == 3
+        assert cache.retry_policy.attempts_made - before == 3
 
-    def test_no_temp_litter_after_failed_put(self, tmp_path,
-                                             monkeypatch):
-        import os
-
-        cache, flaky = self._flaky_cache(tmp_path, fail_times=99)
-        monkeypatch.setattr(os, "replace", flaky)
-        with pytest.raises(OSError):
+    def test_no_temp_litter_after_failed_put(self, tmp_path):
+        cache = self._flaky_cache(tmp_path, fail_times=99)
+        with pytest.raises(sqlite3.OperationalError, match="locked"):
             cache.put(make_record())
-        monkeypatch.undo()
+        # The failed transaction rolled back: no row, no stray files.
+        assert len(cache) == 0
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_default_policy_is_bounded(self, tmp_path):

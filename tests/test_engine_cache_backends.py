@@ -1,84 +1,30 @@
-"""Tests for the pluggable cache backends (disk vs SQLite).
+"""Tests for the SQLite result store's storage-level contract.
 
-The contract under test: both backends store byte-identical record
-payloads under the same content-hash keys, treat corruption as a miss,
-never touch foreign files, and stay safe under concurrent writers.
+One database per cache directory: record payloads round-trip, a
+corrupt row is a miss, the connection closes cleanly, and two writer
+processes can share one database.
 """
 
-import json
 import sqlite3
 from concurrent.futures import ProcessPoolExecutor
 
-import pytest
+from repro.engine import BatchRunner, ResultCache
 
-from repro.engine import (
-    BatchRunner,
-    ResultCache,
-    RunRecord,
-    ScenarioSpec,
-    SqliteResultCache,
-    open_cache,
-)
-from repro.engine.cache import BACKEND_ENV, CACHE_BACKENDS
-
-
-def make_record(spec_hash="ab" + "0" * 62, seed=7, success=True):
-    return RunRecord(
-        spec_hash=spec_hash,
-        spec={"bits": "00", "seed": seed},
-        seed=seed,
-        sent_bits="00",
-        decoded_bits="00" if success else "",
-        success=success,
-        stage="decoded" if success else "preamble_not_found",
-        ber=0.0 if success else 1.0,
-        n_samples=500,
-        trace_duration_s=0.25,
-        sample_rate_hz=2000.0,
-        noise_floor_lux=450.0,
-        elapsed_s=0.01,
-    )
+from tests.test_engine_cache import make_record
 
 
 def _concurrent_writer(root, offset, n):
     """Worker-process body: write ``n`` records into a shared cache."""
-    cache = SqliteResultCache(root)
+    cache = ResultCache(root)
     for k in range(offset, offset + n):
         cache.put(make_record(spec_hash=f"{k:064x}", seed=k))
     cache.close()
     return n
 
 
-class TestOpenCache:
-    def test_defaults_to_disk(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert isinstance(open_cache(tmp_path), ResultCache)
-
-    def test_selects_by_name(self, tmp_path):
-        assert isinstance(open_cache(tmp_path, "disk"), ResultCache)
-        cache = open_cache(tmp_path, "sqlite")
-        assert isinstance(cache, SqliteResultCache)
-        cache.close()
-
-    def test_env_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "sqlite")
-        cache = open_cache(tmp_path)
-        assert isinstance(cache, SqliteResultCache)
-        cache.close()
-        # An explicit name always wins over the environment.
-        assert isinstance(open_cache(tmp_path, "disk"), ResultCache)
-
-    def test_rejects_unknown_backend(self, tmp_path):
-        with pytest.raises(ValueError, match="cache backend"):
-            open_cache(tmp_path, "redis")
-
-    def test_backend_names_are_pinned(self):
-        assert CACHE_BACKENDS == ("disk", "sqlite")
-
-
 class TestSqliteRoundtrip:
     def test_put_get_contains_len(self, tmp_path):
-        cache = SqliteResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         record = make_record()
         cache.put(record)
         assert cache.get(record.spec_hash) == record
@@ -89,20 +35,20 @@ class TestSqliteRoundtrip:
         cache.close()
 
     def test_miss_counts(self, tmp_path):
-        cache = SqliteResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         assert cache.get("cd" + "1" * 62) is None
         assert cache.stats.misses == 1
         cache.close()
 
     def test_overwrite_is_idempotent(self, tmp_path):
-        cache = SqliteResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         cache.put(make_record())
         cache.put(make_record())
         assert len(cache) == 1
         cache.close()
 
     def test_clear(self, tmp_path):
-        cache = SqliteResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         cache.put(make_record(spec_hash="ab" + "0" * 62))
         cache.put(make_record(spec_hash="cd" + "1" * 62))
         assert cache.clear() == 2
@@ -110,7 +56,7 @@ class TestSqliteRoundtrip:
         cache.close()
 
     def test_corrupt_payload_is_a_miss(self, tmp_path):
-        cache = SqliteResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         key = "ee" + "2" * 62
         with sqlite3.connect(cache.path) as conn:
             conn.execute(
@@ -122,42 +68,9 @@ class TestSqliteRoundtrip:
         cache.close()
 
     def test_close_is_idempotent(self, tmp_path):
-        cache = SqliteResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         cache.close()
         cache.close()
-
-
-class TestBackendParity:
-    def test_stored_payloads_are_byte_identical(self, tmp_path):
-        record = make_record()
-        disk = ResultCache(tmp_path / "disk")
-        disk.put(record)
-        sql = SqliteResultCache(tmp_path / "sqlite")
-        sql.put(record)
-        disk_bytes = (tmp_path / "disk" / record.spec_hash[:2]
-                      / f"{record.spec_hash}.json").read_text()
-        assert sql.get_payload(record.spec_hash) == disk_bytes
-        assert disk.get(record.spec_hash) == sql.get(record.spec_hash)
-        sql.close()
-
-    @pytest.mark.parametrize("n_receivers", [1, 3])
-    def test_cold_and_warm_sweeps_agree_across_backends(self, tmp_path,
-                                                        n_receivers):
-        specs = [ScenarioSpec(seed=s, n_receivers=n_receivers)
-                 for s in (2, 3)]
-        passes = {}
-        for backend in CACHE_BACKENDS:
-            with BatchRunner(cache=tmp_path / backend,
-                             cache_backend=backend) as runner:
-                cold = runner.run(specs)
-                warm = runner.run(specs)
-            assert cold.stats.cache_hits == 0
-            assert warm.stats.cache_hits == len(specs)
-            passes[backend] = ([r.canonical_json() for r in cold.records],
-                               [r.canonical_json() for r in warm.records])
-        for backend, (cold_json, warm_json) in passes.items():
-            assert cold_json == warm_json, backend
-        assert passes["disk"] == passes["sqlite"]
 
 
 class TestConcurrentSqliteWriters:
@@ -168,7 +81,7 @@ class TestConcurrentSqliteWriters:
             futures = [pool.submit(_concurrent_writer, tmp_path, 0, 12),
                        pool.submit(_concurrent_writer, tmp_path, 6, 12)]
             assert [f.result(timeout=60) for f in futures] == [12, 12]
-        cache = SqliteResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         assert len(cache) == 18
         for k in range(18):
             record = cache.get(f"{k:064x}")
@@ -177,51 +90,12 @@ class TestConcurrentSqliteWriters:
         cache.close()
 
 
-class TestDiskForeignFiles:
-    def _stray_files(self, root):
-        """Plant non-entry files a cache root might plausibly contain."""
-        (root / "notes.json").write_text("{}")
-        shard = root / "ab"
-        shard.mkdir(parents=True, exist_ok=True)
-        (shard / "README.md").write_text("hands off")
-        (shard / "short.json").write_text("{}")             # not 64 hex
-        (shard / ("ff" + "0" * 62 + ".json")).write_text("{}")  # wrong shard
-        (shard / ("AB" + "0" * 62 + ".json")).write_text("{}")  # not hex
-        return [root / "notes.json", shard / "README.md",
-                shard / "short.json", shard / ("ff" + "0" * 62 + ".json"),
-                shard / ("AB" + "0" * 62 + ".json")]
-
-    def test_len_ignores_foreign_files(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(make_record())
-        strays = self._stray_files(tmp_path)
-        assert len(cache) == 1
-        assert all(p.exists() for p in strays)
-
-    def test_clear_leaves_foreign_files(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(make_record(spec_hash="ab" + "0" * 62))
-        cache.put(make_record(spec_hash="cd" + "1" * 62))
-        strays = self._stray_files(tmp_path)
-        assert cache.clear() == 2
-        assert len(cache) == 0
-        assert all(p.exists() for p in strays)
-
-
 class TestRunnerCacheSelection:
-    def test_path_plus_backend_opens_named_backend(self, tmp_path,
-                                                   monkeypatch):
-        with BatchRunner(cache=tmp_path, cache_backend="sqlite") as runner:
-            assert isinstance(runner.cache, SqliteResultCache)
-        runner.cache.close()
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        with BatchRunner(cache=str(tmp_path)) as runner:
-            assert isinstance(runner.cache, ResultCache)
-
-    def test_instance_plus_backend_is_rejected(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        with pytest.raises(ValueError, match="cache_backend"):
-            BatchRunner(cache=cache, cache_backend="sqlite")
+    def test_path_opens_result_cache(self, tmp_path):
+        for root in (tmp_path / "a", str(tmp_path / "b")):
+            with BatchRunner(cache=root) as runner:
+                assert isinstance(runner.cache, ResultCache)
+            runner.cache.close()
 
     def test_instance_passthrough(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.engine.cli import main
 
 FAST_SETS = ["--set", "source=sun", "--set", "detector=led",
@@ -43,10 +41,14 @@ class TestRun:
         assert "repro-engine" in capsys.readouterr().err
 
     def test_non_finite_value_is_a_usage_error(self, capsys):
-        assert main(["run", *FAST_SETS, "--set", "speed_mps=nan"]) == 2
-        captured = capsys.readouterr()
-        assert "speed_mps must be finite" in captured.err
-        assert captured.out == ""
+        for setting, message in (
+                ("speed_mps=nan", "speed_mps must be finite"),
+                ('fault_plan={"clock_drift_ppm": NaN}',
+                 "clock_drift_ppm must be finite")):
+            assert main(["run", *FAST_SETS, "--set", setting]) == 2
+            captured = capsys.readouterr()
+            assert message in captured.err
+            assert captured.out == ""
 
 
 class TestSweep:
@@ -276,23 +278,15 @@ class TestSweepProfile:
 
 
 class TestCacheBackendFlag:
+    """--cache-dir alone selects the cache: a SQLite store in that
+    directory, the only backend there is."""
+
     def test_sqlite_backend_caches_sweeps(self, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         argv = ["sweep", *FAST_SETS, "--set", "ground_lux=450",
-                "--axis", "seed=2,3", "--cache-dir", str(cache_dir),
-                "--cache-backend", "sqlite"]
+                "--axis", "seed=2,3", "--cache-dir", str(cache_dir)]
         assert main(argv) == 0
         assert (cache_dir / "records.sqlite").exists()
         capsys.readouterr()
         assert main(argv) == 0
         assert "2 cached [100%], 0 simulated" in capsys.readouterr().out
-
-    def test_backend_requires_cache_dir(self, capsys):
-        assert main(["sweep", *FAST_SETS, "--set", "ground_lux=450",
-                     "--axis", "seed=2", "--cache-backend", "sqlite"]) == 2
-        assert "--cache-dir" in capsys.readouterr().err
-
-    def test_unknown_backend_rejected_by_argparse(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["sweep", *FAST_SETS, "--cache-dir", "/tmp/x",
-                  "--cache-backend", "redis"])

@@ -126,64 +126,3 @@ class TestStreamChunkLossStress:
         assert len(result.outcomes) == 2
         assert not result.failed_sessions
 
-
-class TestStressEnvKnob:
-    """REPRO_STREAM_CHUNK_LOSS: the CI stress leg's transport model —
-    lossy link with retransmission.  Chunk boundaries shift, sample
-    content never does, so every decode output is invariant."""
-
-    def test_samples_preserved_under_loss(self, monkeypatch):
-        import numpy as np
-
-        from repro.stream.replay import iter_chunks
-
-        samples = np.arange(1000, dtype=float)
-        monkeypatch.setenv("REPRO_STREAM_CHUNK_LOSS", "0.4")
-        chunks = list(iter_chunks(samples, 32))
-        assert any(len(c) == 0 for c in chunks)       # lost slots
-        assert any(len(c) > 32 for c in chunks)       # retransmissions
-        np.testing.assert_array_equal(np.concatenate(chunks), samples)
-
-    def test_lossy_feed_is_deterministic(self, monkeypatch):
-        import numpy as np
-
-        from repro.stream.replay import iter_chunks
-
-        samples = np.arange(500, dtype=float)
-        monkeypatch.setenv("REPRO_STREAM_CHUNK_LOSS", "0.3")
-        a = [len(c) for c in iter_chunks(samples, 16)]
-        b = [len(c) for c in iter_chunks(samples, 16)]
-        assert a == b
-
-    def test_unset_env_means_plain_chunking(self, monkeypatch):
-        import numpy as np
-
-        from repro.stream.replay import iter_chunks
-
-        monkeypatch.delenv("REPRO_STREAM_CHUNK_LOSS", raising=False)
-        chunks = list(iter_chunks(np.zeros(100), 16))
-        assert [len(c) for c in chunks] == [16] * 6 + [4]
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        import numpy as np
-
-        from repro.stream.replay import iter_chunks
-
-        monkeypatch.setenv("REPRO_STREAM_CHUNK_LOSS", "1.5")
-        with pytest.raises(ValueError, match="REPRO_STREAM_CHUNK_LOSS"):
-            list(iter_chunks(np.zeros(10), 4))
-
-    def test_verdict_invariant_under_transport_loss(self, monkeypatch):
-        """The point of the stress leg, in one assertion: the decode
-        verdict under a lossy transport is byte-identical to the
-        clean-transport verdict."""
-        from repro.engine.executor import capture_trace
-        from repro.stream.replay import replay_trace
-
-        trace = capture_trace(ScenarioSpec(bits="1011", seed=5))
-        monkeypatch.delenv("REPRO_STREAM_CHUNK_LOSS", raising=False)
-        clean = replay_trace(trace, 64, n_data_symbols=4)
-        monkeypatch.setenv("REPRO_STREAM_CHUNK_LOSS", "0.25")
-        lossy = replay_trace(trace, 64, n_data_symbols=4)
-        assert (lossy.verdict.to_dict() == clean.verdict.to_dict())
-        assert lossy.n_chunks >= clean.n_chunks

@@ -1,8 +1,15 @@
 """FaultPlan: validation, scaling, serialization, layer properties."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.faults.plan import PROBABILITY_FIELDS, RATE_FIELDS, FaultPlan
+
+#: Every float-valued plan field (all but the integer ``delay_chunks``).
+FLOAT_FIELDS = sorted(f.name for f in dataclasses.fields(FaultPlan)
+                      if f.name != "delay_chunks")
 
 
 class TestValidation:
@@ -27,6 +34,14 @@ class TestValidation:
         FaultPlan(**{name: 0.0})
         with pytest.raises(ValueError, match=name):
             FaultPlan(**{name: -1.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_rejected(self, name, bad):
+        # NaN passes every ordered range check, so finiteness is its
+        # own gate (NaN drift used to yield a cacheable verdict).
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            FaultPlan(**{name: bad})
 
     def test_negative_clock_drift_allowed(self):
         assert FaultPlan(clock_drift_ppm=-500.0).signals
@@ -94,8 +109,9 @@ class TestScaling:
         assert scaled.burst_length_s == pytest.approx(0.05)
 
     def test_negative_intensity_rejected(self):
-        with pytest.raises(ValueError, match="intensity"):
-            FaultPlan(chunk_drop=0.1).scaled(-1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="intensity"):
+                FaultPlan(chunk_drop=0.1).scaled(bad)
 
 
 class TestSerialization:

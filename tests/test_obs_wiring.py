@@ -13,12 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro.obs.registry as registry_mod
-from repro.engine import (
-    BatchRunner,
-    ResultCache,
-    ScenarioSpec,
-    SqliteResultCache,
-)
+from repro.engine import BatchRunner, ResultCache, ScenarioSpec
 from repro.engine.cache import CacheStats
 from repro.engine.executor import execute_scenario
 from repro.engine.runner import RunStats
@@ -34,7 +29,7 @@ from repro.obs import (
 )
 from repro.stream.session import SessionStats
 
-from tests.test_engine_cache_backends import make_record
+from tests.test_engine_cache import make_record
 
 GOLDEN_PATH = Path(__file__).parent / "baselines" / "stage_parity.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -126,11 +121,10 @@ class TestToMetricsCommonShape:
 
 
 class TestCacheWiring:
-    @pytest.mark.parametrize("cls,backend", [(ResultCache, "disk"),
-                                             (SqliteResultCache, "sqlite")])
-    def test_lookups_and_writes_instrumented(self, tmp_path, cls, backend):
+    def test_lookups_and_writes_instrumented(self, tmp_path):
+        backend = ResultCache.backend_name
         with telemetry_session() as (reg, events):
-            cache = cls(tmp_path)
+            cache = ResultCache(tmp_path)
             record = make_record()
             assert cache.get(record.spec_hash) is None
             cache.put(record)
@@ -212,7 +206,7 @@ class TestRunnerWiring:
             assert ends[1].fields["cached"] == len(subset)
             # Incremental cache instrumentation rode along.
             assert counter_value(reg, "cache_lookups_total",
-                                 {"backend": "disk",
+                                 {"backend": "sqlite",
                                   "result": "hit"}) == len(subset)
 
 

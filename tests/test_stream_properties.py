@@ -8,10 +8,17 @@ Two guarantees are pinned here:
   monotonically nondecreasing event timestamps, across *every
   registered scenario family* (hypothesis additionally samples
   arbitrary chunk sizes on a synthetic trace);
+* **Chunk-boundary invariance** — hypothesis partitions a captured
+  pass at arbitrary cut points (empty chunks and chunks far longer
+  than the default 64 included, as a lossy link with retransmission
+  would deliver them); the verdict is byte-identical through
+  ``replay_trace`` and through a ``SessionMux`` session;
 * **OnlineNormalizer parity** — covered sample-exactly in
   test_stream_normalize.py; here hypothesis drives it through the
   StreamDecoder's own ingestion path.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -23,6 +30,7 @@ from repro.engine.executor import build_decoder, build_simulator
 from repro.engine.spec import ScenarioSpec
 from repro.scenarios import family_names, get_family
 from repro.stream import StreamDecoder, iter_chunks, replay_trace
+from repro.stream.session import replay_traces
 
 from .test_stream_decode import synthetic_trace
 
@@ -99,6 +107,59 @@ def test_chunk_invariance_property_synthetic(chunk_size):
                                                "verdict"]
 
 
+#: The fast outdoor pass (sun, LED receiver) shared by the tests below.
+_OUTDOOR = ScenarioSpec(source="sun", detector="led", cap=False,
+                        ground="tarmac", bits="1001", symbol_width_m=0.1,
+                        speed_mps=5.0, receiver_height_m=0.25,
+                        start_position_m=-1.5, sample_rate_hz=2000.0,
+                        ground_lux=450.0, seed=3)
+
+
+def _verdict_bytes(event) -> str:
+    """Canonical verdict bytes, minus the caller-chosen session id."""
+    data = event.to_dict()
+    data.pop("session_id")
+    return json.dumps(data, sort_keys=True)
+
+
+def _outdoor_case():
+    if "outdoor" not in _case_cache:
+        spec = _OUTDOOR.resolve()
+        trace = build_simulator(spec).capture_pass()
+        offline = build_decoder(spec).decode(trace, n_data_symbols=8)
+        whole = replay_trace(trace, len(trace), n_data_symbols=8,
+                             decoder=build_decoder(spec))
+        _case_cache["outdoor"] = (spec, trace, offline,
+                                  _verdict_bytes(whole.verdict))
+    return _case_cache["outdoor"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(cuts=st.lists(st.floats(min_value=0.0, max_value=1.0),
+                     max_size=40))
+def test_irregular_chunk_boundaries_keep_the_verdict(cuts):
+    """Any partition of the samples decodes to the offline verdict."""
+    spec, trace, offline, expected = _outdoor_case()
+    # Repeated cut points give empty chunks; sparse ones give chunks
+    # of hundreds of samples.
+    points = sorted(int(c * len(trace)) for c in cuts)
+    chunks = np.split(trace.samples, points)
+    assert sum(len(c) for c in chunks) == len(trace)
+
+    replay = replay_trace(trace, 64, n_data_symbols=8,
+                          decoder=build_decoder(spec), chunks=chunks)
+    assert replay.decoder.result.bit_string() == offline.bit_string()
+    assert replay.n_chunks == len(chunks)
+    assert _verdict_bytes(replay.verdict) == expected
+
+    mux = replay_traces({"rx": (trace, 8, build_decoder(spec))}, 64,
+                        chunks_by_session={"rx": chunks})
+    session = mux.session("rx")
+    assert not session.failed
+    assert session.stats.n_samples == len(trace)
+    assert _verdict_bytes(session.verdict()) == expected
+
+
 @settings(max_examples=20, deadline=None)
 @given(chunk_size=st.integers(min_value=1, max_value=300),
        seed=st.integers(min_value=0, max_value=5))
@@ -122,12 +183,7 @@ def test_latencies_shrink_with_chunk_size():
     """On a real simulated pass, finer chunking detects the packet no
     later than coarser chunking — the stream clock advances in chunk
     quanta, so big chunks can only learn about the preamble late."""
-    spec = ScenarioSpec(source="sun", detector="led", cap=False,
-                        ground="tarmac", bits="1001", symbol_width_m=0.1,
-                        speed_mps=5.0, receiver_height_m=0.25,
-                        start_position_m=-1.5, sample_rate_hz=2000.0,
-                        ground_lux=450.0, seed=3).resolve()
-    trace = build_simulator(spec).capture_pass()
+    spec, trace, _, _ = _outdoor_case()
     onsets = []
     for chunk_size in (1, 64, len(trace)):
         replay = replay_trace(trace, chunk_size, n_data_symbols=8)
