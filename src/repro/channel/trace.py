@@ -19,6 +19,16 @@ import numpy as np
 __all__ = ["SignalTrace"]
 
 
+def _check_clock(sample_rate_hz: float, start_time_s: float = 0.0) -> None:
+    """Reject a non-positive or non-finite sample rate and a non-finite
+    start time (NaN slips past a bare ``<= 0`` check)."""
+    if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0.0):
+        raise ValueError(
+            f"sample rate must be positive and finite, got {sample_rate_hz}")
+    if not math.isfinite(start_time_s):
+        raise ValueError(f"start time must be finite, got {start_time_s}")
+
+
 @dataclass
 class SignalTrace:
     """A uniformly sampled signal with metadata.
@@ -39,9 +49,7 @@ class SignalTrace:
         self.samples = np.asarray(self.samples, dtype=float)
         if self.samples.ndim != 1:
             raise ValueError(f"trace must be 1-D, got shape {self.samples.shape}")
-        if self.sample_rate_hz <= 0.0:
-            raise ValueError(
-                f"sample rate must be positive, got {self.sample_rate_hz}")
+        _check_clock(self.sample_rate_hz, self.start_time_s)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -153,9 +161,7 @@ class SignalTrace:
         :meth:`concat` for timestamped pieces).  Empty chunks are
         allowed and contribute nothing.
         """
-        if sample_rate_hz <= 0.0:
-            raise ValueError(
-                f"sample rate must be positive, got {sample_rate_hz}")
+        _check_clock(sample_rate_hz, start_time_s)
         arrays = [np.asarray(c, dtype=float) for c in chunks]
         for i, arr in enumerate(arrays):
             if arr.ndim != 1:
@@ -168,8 +174,7 @@ class SignalTrace:
 
     def resampled(self, new_rate_hz: float) -> "SignalTrace":
         """Linear-interpolation resample to a new rate."""
-        if new_rate_hz <= 0.0:
-            raise ValueError(f"new rate must be positive, got {new_rate_hz}")
+        _check_clock(new_rate_hz)
         if len(self.samples) < 2:
             return SignalTrace(self.samples.copy(), new_rate_hz,
                                self.start_time_s, dict(self.meta))

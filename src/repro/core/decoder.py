@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,7 +191,7 @@ class AdaptiveThresholdDecoder:
         finally:
             # A local bound to the raised error closes a frame -> error
             # -> traceback -> frame cycle that only the cyclic collector
-            # frees; streaming acquisition raises on most chunks.
+            # frees; a caller polling a growing trace fails on most calls.
             del got
 
     @staticmethod
@@ -342,12 +343,33 @@ def _smoothing_scales(n: int) -> list[int]:
         (max(3, n // 200), max(5, n // 64), max(7, n // 32))))
 
 
+class _FinestScan(NamedTuple):
+    """What a failed row's finest-scale scan computed, kept on its
+    :class:`PreambleNotFoundError` as ``_finest`` so streaming
+    acquisition can decide how far to advance without smoothing or
+    peak-searching the window again.
+
+    ``peaks`` is None when the scan stopped before any peak search (no
+    usable span); ``valleys`` is None when it also stopped before the
+    valley search (fewer than two prominent peaks).
+    """
+
+    smooth: np.ndarray
+    span: float
+    noise_sigma: float
+    peaks: np.ndarray | None
+    valleys: np.ndarray | None
+
+
 def _scan(smooth: np.ndarray, t0: float, fs: float, noise_sigma: float,
-          ) -> tuple[Extremum, Extremum, Extremum] | str | None:
+          ) -> tuple[tuple[Extremum, Extremum, Extremum] | str | None,
+                     _FinestScan]:
     """One acquisition attempt on one smoothed row.
 
     Returns the A/B/C anchor points, the reason the candidate failed,
-    or None when the row has no usable span at this scale.
+    or None when the row has no usable span at this scale — paired
+    with the scan's evidence (span and the prominent extrema it
+    searched).
 
     The plausibility gates reject noise-triggered triples: the
     preamble's HIGH-LOW swing is the dominant feature of a tag pass,
@@ -358,12 +380,14 @@ def _scan(smooth: np.ndarray, t0: float, fs: float, noise_sigma: float,
     """
     span = float(smooth.max() - smooth.min())
     if not span > 0.0 or not np.isfinite(span) or len(smooth) < 3:
-        return None
+        return None, _FinestScan(smooth, span, noise_sigma, None, None)
     prominence = MIN_PROMINENCE_FRACTION * span
     pk = _prominent_peaks(smooth, prominence, None)
     if len(pk) < 2:
-        return "fewer than two prominent peaks; no peak-valley-peak pattern"
+        return ("fewer than two prominent peaks; no peak-valley-peak "
+                "pattern", _FinestScan(smooth, span, noise_sigma, pk, None))
     vl = _prominent_peaks(-smooth, prominence, None)
+    evidence = _FinestScan(smooth, span, noise_sigma, pk, vl)
     idx = np.concatenate([pk, vl])
     order = np.argsort(idx, kind="stable")
     idx = idx[order]
@@ -371,7 +395,8 @@ def _scan(smooth: np.ndarray, t0: float, fs: float, noise_sigma: float,
     val = smooth[idx]
     triple = _first_triple(val, is_peak)
     if triple is None:
-        return f"no peak-valley-peak pattern among {len(idx)} extrema"
+        return (f"no peak-valley-peak pattern among {len(idx)} extrema",
+                evidence)
     ja, jb, jc = triple
     times = t0 + idx / fs
     av, bv, cv = float(val[ja]), float(val[jb]), float(val[jc])
@@ -385,10 +410,10 @@ def _scan(smooth: np.ndarray, t0: float, fs: float, noise_sigma: float,
             or d1 <= 0.0 or d2 <= 0.0
             or abs(d1 - d2) > 0.6 * min(d1, d2)):
         return ("candidate preamble rejected: swing, noise floor or "
-                "spacing implausible")
+                "spacing implausible", evidence)
     return tuple(Extremum(int(idx[j]), times[j], float(val[j]),
                           "peak" if is_peak[j] else "valley")
-                 for j in triple)
+                 for j in triple), evidence
 
 
 def _acquire_rows(raw: np.ndarray, t0: float, fs: float,
@@ -411,7 +436,9 @@ def _acquire_rows(raw: np.ndarray, t0: float, fs: float,
 
     Returns:
         Per row, ``(points, smooth)`` or the
-        :class:`PreambleNotFoundError` explaining the miss.
+        :class:`PreambleNotFoundError` explaining the miss.  A miss on
+        a non-empty stack carries its finest-scale :class:`_FinestScan`
+        as ``_finest`` (references only; nothing extra is computed).
     """
     n_rows, n = raw.shape
     if n == 0:
@@ -427,26 +454,31 @@ def _acquire_rows(raw: np.ndarray, t0: float, fs: float,
         noise_sigma = (np.std(np.diff(raw, axis=1), axis=1) / math.sqrt(2.0)
                        if n > 3 else np.zeros(n_rows))
     reasons = ["trace is constant; no preamble"] * n_rows
+    finest: list = [None] * n_rows
     out: list = [None] * n_rows
     pending = list(range(n_rows))
-    for window in _smoothing_scales(n):
+    for scale, window in enumerate(_smoothing_scales(n)):
         still: list[int] = []
         for ridx in pending:
             with maybe_stage(stage_trace, ExecStage.NORMALIZE):
                 smooth = moving_average(raw[ridx], window)
             with maybe_stage(stage_trace, ExecStage.ACQUIRE):
-                got = _scan(smooth, t0, fs, float(noise_sigma[ridx]))
+                got, evidence = _scan(smooth, t0, fs,
+                                      float(noise_sigma[ridx]))
             if isinstance(got, tuple):
                 out[ridx] = (got, smooth)
                 continue
             if got is not None:
                 reasons[ridx] = got
+            if scale == 0:
+                finest[ridx] = evidence
             still.append(ridx)
         pending = still
         if not pending:
             break
     for ridx in pending:
         out[ridx] = PreambleNotFoundError(reasons[ridx])
+        out[ridx]._finest = finest[ridx]
     return out
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..channel.trace import SignalTrace
+from ..channel.trace import SignalTrace, _check_clock
 
 __all__ = ["StreamBuffer"]
 
@@ -37,9 +37,7 @@ class StreamBuffer:
 
     def __init__(self, sample_rate_hz: float, start_time_s: float = 0.0,
                  max_samples: int | None = None) -> None:
-        if sample_rate_hz <= 0.0:
-            raise ValueError(
-                f"sample rate must be positive, got {sample_rate_hz}")
+        _check_clock(sample_rate_hz, start_time_s)
         if max_samples is not None and max_samples < 1:
             raise ValueError(
                 f"max_samples must be >= 1 or None, got {max_samples}")

@@ -27,6 +27,8 @@ independent of wall-clock scheduling.
 
 from __future__ import annotations
 
+import math
+
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -166,9 +168,10 @@ class StreamDecoder:
             # dominate the cost; one check per ~8 sample periods keeps
             # detection latency below a fraction of a symbol.
             check_stride_s = 8.0 / sample_rate_hz
-        if check_stride_s < 0.0:
+        if not (math.isfinite(check_stride_s) and check_stride_s >= 0.0):
             raise ValueError(
-                f"check_stride_s must be >= 0, got {check_stride_s}")
+                f"check_stride_s must be finite and >= 0, "
+                f"got {check_stride_s}")
         self.check_stride_s = check_stride_s
         if n_data_symbols is not None and n_data_symbols < 1:
             raise ValueError(

@@ -4,7 +4,10 @@ Offline acquisition re-scans the whole trace; doing that on every
 arriving chunk is quadratic in stream length.  :class:`PreambleDetector`
 re-runs the decoder's (unchanged) acquisition only over the **unseen
 suffix plus an overlap**, and advances its scan start using what the
-failed scan learned:
+failed scan learned.  The advance step reads the evidence the scan's
+finest smoothing scale left on its miss — the smoothed window, its
+span and noise floor, the prominent extrema it searched — so a failed
+check smooths and peak-searches the window once, not twice:
 
 * a scan that found *extrema* but no plausible A/B/C triple keeps its
   start anchored just before the first extremum — a partially-arrived
@@ -28,13 +31,15 @@ import math
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..core.decoder import AdaptiveThresholdDecoder, threshold_level
+from ..core.decoder import (
+    MIN_PROMINENCE_FRACTION,
+    AdaptiveThresholdDecoder,
+    _acquire_rows,
+    _FinestScan,
+    threshold_level,
+)
 from ..core.errors import PreambleNotFoundError
-from ..channel.trace import SignalTrace
-from ..dsp.filters import moving_average
-from ..dsp.peaks import Extremum, find_peaks_and_valleys
+from ..dsp.peaks import Extremum, _prominent_peaks
 from .buffer import StreamBuffer
 
 __all__ = ["AcquiredPreamble", "PreambleDetector"]
@@ -75,9 +80,10 @@ class PreambleDetector:
     """Suffix-window preamble acquisition with adaptive overlap.
 
     Attributes:
-        decoder: the :class:`AdaptiveThresholdDecoder` whose acquisition
-            (multi-scale smoothing, plausibility gates) is re-used
-            verbatim on each window.
+        decoder: the :class:`AdaptiveThresholdDecoder` whose threshold
+            rule sets the acquired decision level; each window runs
+            the decoder's acquisition kernel (multi-scale smoothing,
+            plausibility gates) verbatim.
         min_overlap_s: overlap kept past a provably quiet prefix.
         max_overlap_s: hard cap on the scan window length.
         n_checks / n_scanned_samples: cost accounting — the incremental
@@ -91,11 +97,15 @@ class PreambleDetector:
     def __init__(self, decoder: AdaptiveThresholdDecoder | None = None,
                  min_overlap_s: float = 1.0,
                  max_overlap_s: float = 12.0) -> None:
-        if min_overlap_s <= 0.0:
+        if not (math.isfinite(min_overlap_s) and min_overlap_s > 0.0):
             raise ValueError(
-                f"min_overlap_s must be positive, got {min_overlap_s}")
-        if max_overlap_s < min_overlap_s:
-            raise ValueError("max_overlap_s must be >= min_overlap_s")
+                f"min_overlap_s must be positive and finite, "
+                f"got {min_overlap_s}")
+        if not (math.isfinite(max_overlap_s)
+                and max_overlap_s >= min_overlap_s):
+            raise ValueError(
+                f"max_overlap_s must be finite and >= min_overlap_s, "
+                f"got {max_overlap_s}")
         self.decoder = decoder or AdaptiveThresholdDecoder()
         self.min_overlap_s = min_overlap_s
         self.max_overlap_s = max_overlap_s
@@ -121,19 +131,19 @@ class PreambleDetector:
             return None
         self.n_checks += 1
         self.n_scanned_samples += len(view)
-        trace = SignalTrace(view, buffer.sample_rate_hz, t0)
-        try:
-            points = self.decoder.acquire_preamble(trace)
-        except PreambleNotFoundError:
-            self._advance(trace, t_end)
+        got = _acquire_rows(view[None, :], t0, buffer.sample_rate_hz)[0]
+        if isinstance(got, PreambleNotFoundError):
+            self._advance(got._finest, t0, buffer.sample_rate_hz, t_end)
             return None
+        points = got[0]
         tau_r, tau_t = self.decoder.thresholds(points)
         level = threshold_level(self.decoder.config.threshold_rule, tau_r,
                                 points[1].value)
         return AcquiredPreamble(points=points, tau_r=tau_r, tau_t=tau_t,
                                 threshold_level=level, detected_at_s=t_end)
 
-    def _advance(self, trace: SignalTrace, t_end: float) -> None:
+    def _advance(self, finest: _FinestScan, t0: float, fs: float,
+                 t_end: float) -> None:
         """Move the scan start past what the failed scan ruled out.
 
         Anchoring on *any* extremum would pin the scan start forever on
@@ -144,21 +154,25 @@ class PreambleDetector:
         (the decoder's own 4-sigma plausibility bound): a window that
         is noise through and through is *quiet*, and a real packet's
         shoulder will clear the bound the moment it starts arriving.
+
+        Everything is read off the scan's finest scale; only a valley
+        search the scan skipped (it stops at fewer than two peaks) is
+        run here.
         """
         quiet_from = t_end - self.min_overlap_s
-        x = trace.samples
-        smooth = moving_average(x, max(3, len(x) // 200))
-        span = float(smooth.max() - smooth.min()) if len(smooth) else 0.0
-        noise_sigma = (float(np.std(np.diff(x))) / math.sqrt(2.0)
-                       if len(x) > 3 else 0.0)
-        if span > 0.0 and span >= 4.0 * noise_sigma:
-            extrema = find_peaks_and_valleys(smooth, trace.sample_rate_hz,
-                                             trace.start_time_s)
-            if extrema:
+        span, peaks, valleys = finest.span, finest.peaks, finest.valleys
+        # ``peaks`` is None exactly when the span is unusable (zero or
+        # non-finite): such a window has no extrema to anchor on.
+        if (peaks is not None and span > 0.0
+                and span >= 4.0 * finest.noise_sigma):
+            if valleys is None:
+                valleys = _prominent_peaks(
+                    -finest.smooth, MIN_PROMINENCE_FRACTION * span, None)
+            firsts = peaks[:1].tolist() + valleys[:1].tolist()
+            if firsts:
                 # Keep a partially-arrived pattern in view: anchor just
                 # before the earliest extremum still standing.
-                anchor = extrema[0].time_s - self.min_overlap_s
+                anchor = t0 + min(firsts) / fs - self.min_overlap_s
                 quiet_from = min(quiet_from, anchor)
-        new_start = max(self._scan_from_s or trace.start_time_s,
-                        min(quiet_from, t_end))
+        new_start = max(self._scan_from_s or t0, min(quiet_from, t_end))
         self._scan_from_s = max(new_start, t_end - self.max_overlap_s)

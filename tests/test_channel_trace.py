@@ -30,6 +30,16 @@ class TestBasics:
     def test_bad_rate(self):
         with pytest.raises(ValueError):
             SignalTrace(np.zeros(5), 0.0)
+        # NaN passes a bare `<= 0` check; garbage rates must not reach
+        # the decoder as a trace.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SignalTrace(np.zeros(5), bad)
+
+    def test_bad_start_time(self):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                SignalTrace(np.zeros(5), 100.0, bad)
 
 
 class TestNormalization:
@@ -87,8 +97,9 @@ class TestResample:
                            atol=0.01)
 
     def test_bad_rate(self):
-        with pytest.raises(ValueError):
-            make_trace().resampled(0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                make_trace().resampled(bad)
 
 
 class TestStats:
@@ -180,8 +191,9 @@ class TestFromChunks:
         assert len(trace) == 0
 
     def test_bad_rate(self):
-        with pytest.raises(ValueError):
-            SignalTrace.from_chunks([np.zeros(3)], sample_rate_hz=0.0)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SignalTrace.from_chunks([np.zeros(3)], sample_rate_hz=bad)
 
     def test_non_1d_chunk_rejected(self):
         with pytest.raises(ValueError, match="chunk 1"):

@@ -10,6 +10,14 @@ class TestConstruction:
     def test_bad_rate(self):
         with pytest.raises(ValueError):
             StreamBuffer(0.0)
+        # NaN/inf pass a bare `<= 0` check and would stamp NaN stream
+        # times on every event.
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                StreamBuffer(bad)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                StreamBuffer(2000.0, start_time_s=bad)
 
     def test_bad_capacity(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,24 @@
 """Tests for repro.stream.decode and repro.stream.detect."""
 
+import functools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channel.trace import SignalTrace
-from repro.core.decoder import AdaptiveThresholdDecoder
+from repro.core import decoder as decoder_mod
+from repro.core.decoder import AdaptiveThresholdDecoder, threshold_level
+from repro.core.errors import PreambleNotFoundError
+from repro.dsp import filters as filters_mod
+from repro.dsp import peaks as peaks_mod
+from repro.dsp.filters import moving_average
+from repro.dsp.peaks import find_peaks_and_valleys
+from repro.engine.executor import build_decoder, capture_trace
+from repro.engine.spec import ScenarioSpec
+from repro.stream import detect as detect_mod
 from repro.stream import (
     PreambleDetector,
     StreamBuffer,
@@ -13,6 +27,7 @@ from repro.stream import (
     iter_chunks,
     replay_trace,
 )
+from repro.stream.detect import AcquiredPreamble
 from repro.tags.encoding import Symbol, manchester_encode
 
 
@@ -70,6 +85,13 @@ class TestStateMachine:
     def test_bad_n_data_symbols(self):
         with pytest.raises(ValueError):
             StreamDecoder(100.0, n_data_symbols=0)
+
+    @pytest.mark.parametrize("stride", [-1.0, math.nan, math.inf])
+    def test_bad_check_stride(self, stride):
+        """A NaN stride never compares >= the elapsed time, so the
+        decoder would run no check and emit no onset at all."""
+        with pytest.raises(ValueError, match="check_stride_s"):
+            StreamDecoder(100.0, check_stride_s=stride)
 
 
 class TestAcquisitionDecoderSelection:
@@ -260,6 +282,13 @@ class TestPreambleDetector:
             PreambleDetector(min_overlap_s=0.0)
         with pytest.raises(ValueError):
             PreambleDetector(min_overlap_s=2.0, max_overlap_s=1.0)
+        # NaN slips past ordered comparisons: a NaN min overlap never
+        # advances the scan start, a NaN max overlap drops the cap.
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                PreambleDetector(min_overlap_s=bad)
+            with pytest.raises(ValueError):
+                PreambleDetector(max_overlap_s=bad)
 
     def test_bounded_window_on_long_feeds(self):
         """Per-check cost is capped by max_overlap_s."""
@@ -275,3 +304,174 @@ class TestPreambleDetector:
             per_check.append(detector.n_scanned_samples - before)
         # Late checks scan at most the overlap cap plus one chunk.
         assert max(per_check[10:]) <= int(2.0 * fs) + 50
+
+
+class _ReScanningDetector(PreambleDetector):
+    """Oracle: the detector as it was before the advance step read the
+    scan's finest-scale evidence.  Each check wraps the window in a
+    :class:`SignalTrace`, lets acquisition raise, and on a miss smooths
+    the window, re-derives its noise floor and re-runs the peak and
+    valley search on its own."""
+
+    def check(self, buffer):
+        if self._scan_from_s is None:
+            self._scan_from_s = buffer.start_time_s
+        t_end = buffer.end_time_s
+        start = max(self._scan_from_s, buffer.first_time_s,
+                    t_end - self.max_overlap_s)
+        view, t0 = buffer.window_with_time(start, t_end + 1.0)
+        if len(view) < self.MIN_WINDOW_SAMPLES:
+            return None
+        self.n_checks += 1
+        self.n_scanned_samples += len(view)
+        trace = SignalTrace(view, buffer.sample_rate_hz, t0)
+        try:
+            points = self.decoder.acquire_preamble(trace)
+        except PreambleNotFoundError:
+            self._rescan_advance(trace, t_end)
+            return None
+        tau_r, tau_t = self.decoder.thresholds(points)
+        level = threshold_level(self.decoder.config.threshold_rule, tau_r,
+                                points[1].value)
+        return AcquiredPreamble(points=points, tau_r=tau_r, tau_t=tau_t,
+                                threshold_level=level, detected_at_s=t_end)
+
+    def _rescan_advance(self, trace, t_end):
+        quiet_from = t_end - self.min_overlap_s
+        x = trace.samples
+        smooth = moving_average(x, max(3, len(x) // 200))
+        span = float(smooth.max() - smooth.min()) if len(smooth) else 0.0
+        noise_sigma = (float(np.std(np.diff(x))) / math.sqrt(2.0)
+                       if len(x) > 3 else 0.0)
+        if span > 0.0 and span >= 4.0 * noise_sigma:
+            extrema = find_peaks_and_valleys(smooth, trace.sample_rate_hz,
+                                             trace.start_time_s)
+            if extrema:
+                anchor = extrema[0].time_s - self.min_overlap_s
+                quiet_from = min(quiet_from, anchor)
+        new_start = max(self._scan_from_s or trace.start_time_s,
+                        min(quiet_from, t_end))
+        self._scan_from_s = max(new_start, t_end - self.max_overlap_s)
+
+
+#: Outdoor RX-LED passes over the light levels and heights where
+#: decoding succeeds, degrades and saturates.
+_OUTDOOR = dict(source="sun", detector="led", cap=False, ground="tarmac",
+                symbol_width_m=0.1, speed_mps=5.0)
+
+
+@functools.lru_cache(maxsize=32)
+def _outdoor_pass(lux, height, bits, seed):
+    spec = ScenarioSpec(**_OUTDOOR, ground_lux=lux, receiver_height_m=height,
+                        bits=bits, seed=seed).resolve()
+    return capture_trace(spec), build_decoder(spec)
+
+
+def _feed(kind, seed):
+    """``(samples, sample_rate_hz, start_time_s, n_data_symbols,
+    decoder)`` for one drawn feed."""
+    rng = np.random.default_rng(seed)
+    if kind == "quiet":
+        # Silence, a constant pedestal or sensor noise, before any
+        # packet arrives.
+        level = float(rng.choice([0.0, 512.0]))
+        noise = float(rng.choice([0.0, 1.0]))
+        samples = level + noise * rng.normal(size=int(rng.integers(200, 1500)))
+        return samples, 100.0, 0.0, None, AdaptiveThresholdDecoder()
+    if kind == "packet":
+        bits = "".join(rng.choice(["0", "1"], size=int(rng.integers(1, 4))))
+        trace = synthetic_trace(bits=bits,
+                                lead_s=float(rng.uniform(0.0, 6.0)),
+                                noise=float(rng.choice([0.0, 0.02, 0.2])),
+                                seed=seed)
+        # Inverted polarity puts a valley before the first peak.
+        polarity = float(rng.choice([1.0, -1.0]))
+        return (polarity * trace.samples, trace.sample_rate_hz, 1.5,
+                2 * len(bits), AdaptiveThresholdDecoder())
+    lux = float(rng.choice([100.0, 450.0, 6200.0, 21500.0]))
+    height = float(rng.choice([0.25, 0.4, 0.6, 0.8]))
+    bits = "".join(rng.choice(["0", "1"], size=2))
+    trace, decoder = _outdoor_pass(lux, height, bits, seed + 1)
+    return (trace.samples, trace.sample_rate_hz, trace.start_time_s,
+            2 * len(bits), decoder)
+
+
+class TestDetectorMatchesReScanningOracle:
+    """The advance step reads the scan's evidence instead of
+    recomputing it; every decision must stay what the re-scanning
+    detector decided."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["quiet", "packet", "outdoor"]),
+           seed=st.integers(0, 7),
+           chunk=st.sampled_from([1, 7, 64]))
+    def test_every_push_agrees(self, kind, seed, chunk):
+        samples, fs, t0, n_data_symbols, decoder = _feed(kind, seed)
+        streams = []
+        for detector_cls in (PreambleDetector, _ReScanningDetector):
+            acquisition = getattr(decoder, "decoder", decoder)
+            streams.append(StreamDecoder(
+                fs, t0, n_data_symbols=n_data_symbols, decoder=decoder,
+                detector=detector_cls(acquisition)))
+        new, oracle = streams
+        for piece in iter_chunks(samples, chunk):
+            got = new.push(piece)
+            want = oracle.push(piece)
+            assert got == want
+            assert new.detector._scan_from_s == oracle.detector._scan_from_s
+            assert new.detector.n_checks == oracle.detector.n_checks
+            assert (new.detector.n_scanned_samples
+                    == oracle.detector.n_scanned_samples)
+            assert new.acquired == oracle.acquired
+        assert new.flush() == oracle.flush()
+
+
+class TestFailedCheckScansOnce:
+    """A failed check smooths each scale once and peak-searches it at
+    most twice (peaks, valleys); the advance step adds at most the one
+    valley search the scan skipped, and no smoothing of its own."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"smooth": 0, "search": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        smooth = counting("smooth", filters_mod.moving_average)
+        search = counting("search", peaks_mod._prominent_peaks)
+        for mod in (filters_mod, peaks_mod, decoder_mod, detect_mod):
+            if hasattr(mod, "moving_average"):
+                monkeypatch.setattr(mod, "moving_average", smooth)
+            if hasattr(mod, "_prominent_peaks"):
+                monkeypatch.setattr(mod, "_prominent_peaks", search)
+        return counts
+
+    @staticmethod
+    def _check_once(samples):
+        buf = StreamBuffer(100.0)
+        buf.append(samples)
+        assert PreambleDetector().check(buf) is None
+        return len(decoder_mod._smoothing_scales(len(samples)))
+
+    def test_scan_stopped_at_one_peak(self, calls):
+        """A first bump in view: every scale stops after the peak
+        search, and the advance step runs the one valley search."""
+        samples = synthetic_trace(bits="1", lead_s=1.0).samples[:170]
+        n_scales = self._check_once(samples)
+        assert calls["smooth"] == n_scales
+        assert calls["search"] == n_scales + 1
+
+    def test_scan_rejected_a_triple(self, calls):
+        """Two bumps around an off-centre dip: every scale searches
+        peaks and valleys, rejects the spacing, and the advance step
+        anchors from the recorded extrema with no search of its own."""
+        bump = np.sin(np.pi * np.linspace(0.0, 1.0, 50, endpoint=False))
+        samples = np.concatenate([np.zeros(100), bump, -0.5 * bump[:20],
+                                  np.zeros(300), bump, np.zeros(50)])
+        n_scales = self._check_once(samples)
+        assert calls["smooth"] == n_scales
+        assert calls["search"] == 2 * n_scales
