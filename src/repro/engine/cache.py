@@ -24,7 +24,7 @@ from typing import Protocol, runtime_checkable
 
 from ..faults.retry import RetryExhausted, RetryPolicy
 from ..obs.events import active_events
-from ..obs.registry import MetricsRegistry, active_registry
+from ..obs.registry import active_registry
 from .records import RunRecord
 
 __all__ = ["CacheBackend", "CacheStats", "ResultCache"]
@@ -45,23 +45,6 @@ class CacheStats:
     misses: int = 0
     writes: int = 0
     write_retries: int = 0
-
-    def to_metrics(self, registry: MetricsRegistry,
-                   backend: str = "unknown") -> None:
-        """Fold lifetime totals into ``registry`` (common stats shape).
-
-        One-shot: callers fold a stats object at most once per
-        lifetime, or the totals double-count.  Live runs instead use
-        the incremental per-lookup instrumentation below.
-        """
-        lookups = registry.counter
-        lookups("cache_lookups_total",
-                {"backend": backend, "result": "hit"}).inc(self.hits)
-        lookups("cache_lookups_total",
-                {"backend": backend, "result": "miss"}).inc(self.misses)
-        lookups("cache_writes_total", {"backend": backend}).inc(self.writes)
-        lookups("cache_write_retries_total",
-                {"backend": backend}).inc(self.write_retries)
 
 
 def _observe_lookup(backend: str, key: str, hit: bool) -> None:

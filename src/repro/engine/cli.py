@@ -185,39 +185,26 @@ def _read_records(path: str) -> list[RunRecord]:
 
 
 @contextlib.contextmanager
-def _telemetry(args: argparse.Namespace) -> Iterator[tuple | None]:
+def _telemetry(args: argparse.Namespace) -> Iterator[None]:
     """Scoped telemetry for record-producing commands.
 
     With ``--telemetry DIR``: activates a fresh registry + event log
-    (and profiling, so stage histograms can harvest the same traces
-    ``--profile`` collects), yields ``(registry, events)``, and writes
-    ``events.jsonl`` / ``metrics.json`` / ``metrics.prom`` into DIR
-    when the command body completes.  Without the flag this is a
-    no-op yielding None — the zero-cost disabled path.
+    (and profiling, so the batch runner's stage fold has the traces
+    ``--profile`` collects) for the command body, then writes
+    ``events.jsonl`` / ``metrics.json`` / ``metrics.prom`` into DIR.
+    Without the flag this is a no-op — the zero-cost disabled path.
     """
     directory = getattr(args, "telemetry", None)
     if not directory:
-        yield None
+        yield
         return
     from ..obs import telemetry_session, write_telemetry
 
     with profiled(), telemetry_session() as (registry, events):
-        yield registry, events
+        yield
         write_telemetry(directory, registry, events)
     print(f"telemetry written to {directory} "
           "(events.jsonl, metrics.json, metrics.prom)")
-
-
-def _emit_stage_events(events, records: Sequence[RunRecord]) -> None:
-    """Fold the records' stage timings into ``stage_timing`` events."""
-    from .report import stage_stats
-
-    stats = stage_stats(records)
-    for stage, row in stats["stages"].items():
-        events.emit("stage_timing", stage=stage,
-                    total_s=round(row["total_s"], 6),
-                    mean_s=round(row["mean_s"], 6),
-                    n_profiled=stats["n_profiled"])
 
 
 # ----------------------------------------------------------------------
@@ -226,10 +213,8 @@ def _emit_stage_events(events, records: Sequence[RunRecord]) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _load_template(args)
-    with _telemetry(args) as telem:
+    with _telemetry(args):
         result = _make_runner(args).run([spec])
-        if telem is not None:
-            _emit_stage_events(telem[1], result.records)
     record = result.records[0]
     _write_records(result.records, args.out)
     print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
@@ -276,15 +261,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # profiling on its own (stage histograms harvest the same traces).
     profile_ctx = (profiled() if args.profile
                    else contextlib.nullcontext())
-    with _telemetry(args) as telem, profile_ctx:
+    with _telemetry(args), profile_ctx:
         runner = _make_runner(args)
         try:
             result = runner.run(specs)
         except BatchAborted as exc:
             aborted = exc
             result = exc.result
-        if telem is not None:
-            _emit_stage_events(telem[1], result.records)
     _write_records(result.records, args.out)
     print(result.stats.summary())
     print(summarize(result.records))
@@ -537,13 +520,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             specs = [template]
         else:
             specs = expand_grid(template, {"seed": list(range(count))})
-    with _telemetry(args) as telem:
+    with _telemetry(args):
         runner = _make_runner(args)
         sweep = sweep_fault_intensity(specs, plan, intensities, runner)
-        if telem is not None:
-            _emit_stage_events(
-                telem[1],
-                [r for point in sweep.points for r in point.records])
     print(f"chaos sweep: {len(specs)} scenario(s) x {len(intensities)} "
           f"intensity rung(s)")
     print(f"fault mix: {plan.canonical_json()}")

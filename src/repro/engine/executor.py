@@ -56,8 +56,6 @@ from ..exec.graph import (
     new_trace,
 )
 from ..hardware.frontend import FovCap, ReceiverFrontEnd
-from ..obs.export import publish_stage_trace
-from ..obs.registry import active_registry
 from ..hardware.led_receiver import LedReceiver
 from ..hardware.photodiode import PdGain, Photodiode
 from ..optics.geometry import Vec3
@@ -566,22 +564,6 @@ NETWORK_GRAPH = StageGraph([
 ], name="networked")
 
 
-def _publish_profile(profile: StageTrace | None, driver: str) -> None:
-    """Fold a completed trace into the active metrics registry.
-
-    Telemetry reuses the timings the graph's ``maybe_stage`` hooks
-    already collected — nothing here runs inside a stage.  No-op with
-    profiling or telemetry off (and in pool workers, whose registries
-    are per-process; pooled stage histograms follow the same
-    single-process caveat as ``collect_traces``).
-    """
-    if profile is None:
-        return
-    registry = active_registry()
-    if registry is not None:
-        publish_stage_trace(registry, profile, driver)
-
-
 def _execute_networked(run: _NetRun) -> RunRecord:
     """Drive :data:`NETWORK_GRAPH` and stamp the fused record."""
     NETWORK_GRAPH.run(run, run.profile)
@@ -591,7 +573,6 @@ def _execute_networked(run: _NetRun) -> RunRecord:
     n_samples = len(first.samples) if first is not None else 0
     sample_rate = (first.sample_rate_hz if first is not None
                    else run.spec.sample_rate_hz)
-    _publish_profile(run.profile, "network")
     return make_record(
         spec_hash=run.ident.content_hash,
         spec=run.ident.payload,
@@ -646,7 +627,6 @@ def execute_scenario(spec: ScenarioSpec) -> RunRecord:
         # Contain per-scenario failures (a tag that does not fit the
         # car roof, a degenerate geometry): one bad grid point must
         # not abort a thousand-scenario batch.
-        _publish_profile(profile, "serial")
         return make_record(
             spec_hash=ident.content_hash,
             spec=ident.payload,
@@ -663,7 +643,6 @@ def execute_scenario(spec: ScenarioSpec) -> RunRecord:
     # point simulation hazards.
     SERIAL_GRAPH.run(run, profile,
                      stages=(ExecStage.INJECT_FAULTS, ExecStage.DECIDE))
-    _publish_profile(profile, "serial")
     return make_record(
         spec_hash=ident.content_hash,
         spec=ident.payload,

@@ -26,12 +26,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from ..exec.graph import StageTrace
 from ..faults.retry import RetryPolicy
-from ..obs.events import active_events
+from ..obs.events import EventLog, active_events
+from ..obs.export import publish_stage_trace
 from ..obs.registry import MetricsRegistry, active_registry
 from .cache import CacheBackend, ResultCache
 from .executor import error_record, execute_scenario
 from .records import RecordStage, RunRecord
+from .report import stage_stats
 from .spec import ScenarioSpec, expand_grid
 
 __all__ = ["RunStats", "BatchResult", "BatchRunner", "BatchAborted",
@@ -122,10 +125,10 @@ class RunStats:
     def to_metrics(self, registry: MetricsRegistry) -> None:
         """Fold one batch's accounting into ``registry``.
 
-        The common stats shape (see also ``CacheStats.to_metrics``,
-        ``FaultLog.to_metrics``, ``SessionStats.to_metrics``): counters
-        for scenario outcomes and recovery actions, one histogram
-        sample for the batch wall time.  A :class:`RunStats` describes
+        The common stats shape (see also ``SessionStats.to_metrics``):
+        counters for scenario outcomes, recovery actions and the fault
+        kinds the batch's records carry, one histogram sample for the
+        batch wall time.  A :class:`RunStats` describes
         exactly one :meth:`BatchRunner.run` call, so folding each
         instance once accumulates correctly across batches.
         """
@@ -399,6 +402,8 @@ class BatchRunner:
         registry = active_registry()
         if registry is not None:
             stats.to_metrics(registry)
+        if registry is not None or log is not None:
+            _fold_stage_traces(fresh, registry, log)
         if log is not None:
             if stats.fault_events:
                 log.emit("fault_injected",
@@ -605,6 +610,49 @@ class BatchRunner:
                 except Exception:
                     pass
             pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _stage_driver(record: RunRecord) -> str:
+    """Which driver produced a record's trace: the ``driver`` label."""
+    if record.spec["n_receivers"] > 1:
+        return "network"
+    if "batch_rows" in record.stage_trace.counters:
+        return "tensor"
+    return "serial"
+
+
+def _fold_stage_traces(fresh: Sequence[RunRecord | None],
+                       registry: MetricsRegistry | None,
+                       log: EventLog | None) -> None:
+    """Fold the stage timing of the records a batch executed, once.
+
+    The one source of stage telemetry for batch runs: pool workers
+    collect nothing, and only ``fresh`` records are passed in, never
+    cache hits (whose stored traces time an earlier run).  Each trace
+    becomes one sample per stage in ``exec_stage_seconds``; a tensor
+    record's trace is already its per-scenario share of the fused
+    pass, and its group-wide counters are shared out the same way.
+    """
+    profiled = [r for r in fresh if r is not None
+                and r.stage != RecordStage.EXECUTOR_ERROR
+                and r.stage_trace is not None]
+    if registry is not None:
+        for record in profiled:
+            trace = record.stage_trace
+            rows = trace.counters.get("batch_rows")
+            if rows:
+                trace = StageTrace(
+                    timings_s=trace.timings_s,
+                    counters={k: n / rows
+                              for k, n in trace.counters.items()})
+            publish_stage_trace(registry, trace, _stage_driver(record))
+    if log is not None and profiled:
+        stats = stage_stats(profiled)
+        for stage, row in stats["stages"].items():
+            log.emit("stage_timing", stage=stage,
+                     total_s=round(row["total_s"], 6),
+                     mean_s=round(row["mean_s"], 6),
+                     n_profiled=stats["n_profiled"])
 
 
 def _sum_fault_events(records: Sequence[RunRecord]) -> dict[str, int]:

@@ -83,17 +83,6 @@ class FaultLog:
         """Total fault events across every process."""
         return sum(getattr(self, f.name) for f in fields(self))
 
-    def to_metrics(self, registry) -> None:
-        """Fold injection counts into ``registry`` (common stats shape).
-
-        One ``fault_injections_total{kind=...}`` counter per nonzero
-        fault process.  One-shot per log instance, like the other
-        ``to_metrics`` implementations.
-        """
-        for kind, count in self.counts().items():
-            registry.counter("fault_injections_total",
-                             {"kind": kind}).inc(count)
-
 
 # ----------------------------------------------------------------------
 # Signal-layer faults

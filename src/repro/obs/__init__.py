@@ -10,6 +10,13 @@ sites check ``active_registry()`` / ``active_events()`` for ``None``
 — the same single-branch pattern as ``repro.exec.graph.maybe_stage`` —
 so the engine's byte-parity and perf gates hold with telemetry off.
 
+A registry collects only in its own process.  Stage timing has one
+source: the ``StageTrace`` of each record a
+:class:`~repro.engine.BatchRunner` batch executed, folded once by the
+runner in the process that owns the results (so pooled runs lose
+nothing and cache hits replay nothing); live ``SessionMux`` sessions,
+which return no record, are folded once by the mux.
+
 Typical scoped use (what ``repro-engine sweep --telemetry DIR`` does)::
 
     from repro.obs import telemetry_session, write_telemetry
@@ -27,9 +34,9 @@ from .events import (EVENT_KINDS, EventLog, RunEvent, active_events,
                      event_scope, set_events)
 from .export import (format_metrics, load_snapshot, publish_stage_trace,
                      render_json, render_prometheus, write_telemetry)
-from .registry import (DEFAULT_BUCKETS, TELEMETRY_ENV, Counter, Gauge,
-                       Histogram, MetricsRegistry, active_registry,
-                       set_registry, telemetry, telemetry_enabled)
+from .registry import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
+                       MetricsRegistry, active_registry, set_registry,
+                       telemetry, telemetry_enabled)
 
 __all__ = [
     "EVENT_KINDS",
@@ -45,7 +52,6 @@ __all__ = [
     "render_prometheus",
     "write_telemetry",
     "DEFAULT_BUCKETS",
-    "TELEMETRY_ENV",
     "Counter",
     "Gauge",
     "Histogram",

@@ -202,7 +202,10 @@ def publish_stage_trace(registry: MetricsRegistry, trace: Any,
     Reuses the timings the existing ``maybe_stage`` hooks already
     collected — no new timing code runs in any hot loop.  ``driver``
     labels which execution path produced the trace (``serial``,
-    ``network``, ``tensor``, ``stream``).
+    ``network``, ``tensor``, ``stream``).  Two callers, each folding a
+    trace exactly once in the process that owns it: ``BatchRunner.run``
+    for the records a batch executed, and ``SessionMux`` for each live
+    session when it ends.
     """
     if trace is None:
         return

@@ -18,20 +18,20 @@ Three metric kinds are supported, all label-aware and lock-protected:
 
 ``MetricsRegistry.snapshot()`` returns a plain, JSON-serialisable dict
 with deterministic ordering so exporters and tests can diff it byte for
-byte.  Activation is scoped (``telemetry()`` context manager), forced
-(``set_registry``) or environmental (``REPRO_TELEMETRY=1`` builds one
-process-default registry on first use, so subprocesses spawned with the
-variable inherited collect into their own registry).
+byte.  Activation is scoped (``telemetry()`` context manager) or
+forced (``set_registry``) and per process: whatever a pool worker
+writes (a forked worker inherits a copy of the active registry) stays
+in that worker.  Stage timing therefore never relies on workers:
+``BatchRunner.run`` folds the records a batch executed, once, in the
+process that owns the results.
 """
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from typing import Any, Iterator, Mapping
 
 __all__ = [
-    "TELEMETRY_ENV",
     "DEFAULT_BUCKETS",
     "Counter",
     "Gauge",
@@ -42,9 +42,6 @@ __all__ = [
     "telemetry_enabled",
     "telemetry",
 ]
-
-TELEMETRY_ENV = "REPRO_TELEMETRY"
-_TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 #: Default histogram upper bounds, in seconds — tuned for stage and
 #: batch wall times that range from tens of microseconds to seconds.
@@ -222,10 +219,9 @@ class MetricsRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Activation — mirrors repro.exec.graph's _FORCED/env-var pattern.
+# Activation — mirrors repro.exec.graph's _FORCED pattern.
 
 _ACTIVE: MetricsRegistry | None = None
-_ENV_DEFAULT: MetricsRegistry | None = None
 
 
 def set_registry(registry: MetricsRegistry | None) -> None:
@@ -238,18 +234,9 @@ def active_registry() -> MetricsRegistry | None:
     """The registry instrumentation should write to, or ``None``.
 
     Every instrumentation site calls this and bails on ``None`` — that
-    single check is the entire disabled-path cost.  ``REPRO_TELEMETRY``
-    is consulted at call time (not import time) so tests and forked
-    workers behave predictably.
+    single check is the entire disabled-path cost.
     """
-    if _ACTIVE is not None:
-        return _ACTIVE
-    if os.environ.get(TELEMETRY_ENV, "").lower() in _TRUTHY:
-        global _ENV_DEFAULT
-        if _ENV_DEFAULT is None:
-            _ENV_DEFAULT = MetricsRegistry()
-        return _ENV_DEFAULT
-    return None
+    return _ACTIVE
 
 
 def telemetry_enabled() -> bool:
@@ -262,20 +249,12 @@ def telemetry(
 ) -> Iterator[MetricsRegistry]:
     """Scoped activation: instrumentation inside the block collects into
     ``registry`` (a fresh one by default); the previous state is restored
-    on exit.  Also sets ``REPRO_TELEMETRY`` for the duration so forked
-    workers know telemetry was requested (their samples stay local to the
-    worker, same caveat as ``collect_traces``)."""
+    on exit."""
     global _ACTIVE
     reg = registry if registry is not None else MetricsRegistry()
     prev = _ACTIVE
-    prev_env = os.environ.get(TELEMETRY_ENV)
     _ACTIVE = reg
-    os.environ[TELEMETRY_ENV] = "1"
     try:
         yield reg
     finally:
         _ACTIVE = prev
-        if prev_env is None:
-            os.environ.pop(TELEMETRY_ENV, None)
-        else:
-            os.environ[TELEMETRY_ENV] = prev_env

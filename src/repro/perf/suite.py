@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
+import scipy
 
 __all__ = ["Workload", "WorkloadTiming", "PerfReport",
            "default_workloads", "run_suite", "format_stage_medians"]
@@ -189,6 +190,7 @@ def _environment_meta() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "machine": platform.machine(),
         "system": platform.system(),
         "cpu_count": os.cpu_count(),

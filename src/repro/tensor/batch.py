@@ -58,8 +58,6 @@ from ..engine.records import (
 )
 from ..engine.spec import ScenarioSpec, SpecIdentity
 from ..exec.graph import ExecStage, maybe_stage, new_trace
-from ..obs.export import publish_stage_trace
-from ..obs.registry import active_registry
 from ..hardware.amplifier import first_order_lowpass
 from ..tags.packet import Packet
 
@@ -262,11 +260,6 @@ def _run_group(key: str, specs: list[ScenarioSpec],
         # each record carries an equal per-scenario share so stage
         # totals aggregate the same way serial traces do.
         profile.count("batch_rows", len(specs))
-        registry = active_registry()
-        if registry is not None:
-            # Telemetry sees the fused pass once, at its true wall
-            # time, before the per-record scaling below.
-            publish_stage_trace(registry, profile, "tensor")
         profile = profile.scaled(1.0 / max(1, len(specs)))
     records = []
     for spec, ident, result in zip(specs, idents, decodes):

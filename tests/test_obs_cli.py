@@ -5,19 +5,15 @@ import json
 import pytest
 
 from repro.engine.cli import main
-from repro.obs import TELEMETRY_ENV, EventLog, load_snapshot, set_events, set_registry
+from repro.obs import EventLog, load_snapshot, set_events, set_registry
 
 from tests.test_engine_cli import FAST_SETS
 
 
 @pytest.fixture(autouse=True)
-def _clean_telemetry(monkeypatch):
-    import repro.obs.registry as registry_mod
-
-    monkeypatch.delenv(TELEMETRY_ENV, raising=False)
+def _clean_telemetry():
     set_registry(None)
     set_events(None)
-    monkeypatch.setattr(registry_mod, "_ENV_DEFAULT", None)
     yield
     set_registry(None)
     set_events(None)
@@ -67,6 +63,48 @@ class TestTelemetryFlag:
                 "--cache-dir", str(tmp_path / "cache")]
         assert main(argv) == 0
         assert "telemetry written" not in capsys.readouterr().out
+
+
+def stage_counts(snapshot):
+    """``exec_stage_seconds`` label set -> sample count."""
+    return {tuple(sorted(h["labels"].items())): h["count"]
+            for h in snapshot["histograms"]
+            if h["name"] == "exec_stage_seconds"}
+
+
+class TestStageTimingFold:
+    """Stage timing has one source: the runner's fold of the records a
+    batch executed, in the parent process."""
+
+    SEEDS = "seed=0,1,2,3,4,5"
+
+    def sweep(self, tmp_path, name, *extra):
+        tel = tmp_path / name
+        argv = ["sweep", *FAST_SETS, "--set", "ground_lux=450",
+                "--axis", self.SEEDS, *extra, "--telemetry", str(tel)]
+        assert main(argv) == 0
+        stages = [e for e in EventLog.read_jsonl(tel / "events.jsonl")
+                  if e.kind == "stage_timing"]
+        return stage_counts(load_snapshot(tel / "metrics.json")), stages
+
+    def test_pooled_sweep_matches_serial_and_warm_rerun_is_silent(
+            self, tmp_path, capsys):
+        serial, serial_events = self.sweep(tmp_path, "w1", "--workers", "1")
+        cache = str(tmp_path / "cache")
+        pooled, pooled_events = self.sweep(tmp_path, "w2", "--workers", "2",
+                                           "--cache-dir", cache)
+        assert serial and set(serial.values()) == {6}
+        assert pooled == serial
+        assert ([e.fields["stage"] for e in pooled_events]
+                == [e.fields["stage"] for e in serial_events])
+        assert all(e.fields["n_profiled"] == 6 for e in pooled_events)
+
+        capsys.readouterr()
+        warm, warm_events = self.sweep(tmp_path, "warm", "--workers", "2",
+                                       "--cache-dir", cache)
+        assert "(6 cached [100%], 0 simulated" in capsys.readouterr().out
+        assert warm == {}
+        assert warm_events == []
 
 
 class TestMetricsCommand:

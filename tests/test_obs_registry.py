@@ -4,10 +4,8 @@ import threading
 
 import pytest
 
-import repro.obs.registry as registry_mod
 from repro.obs import (
     DEFAULT_BUCKETS,
-    TELEMETRY_ENV,
     MetricsRegistry,
     active_registry,
     set_registry,
@@ -17,12 +15,9 @@ from repro.obs import (
 
 
 @pytest.fixture(autouse=True)
-def _clean_telemetry(monkeypatch):
-    """Each test starts with telemetry fully off (no forced registry,
-    no env default, no inherited REPRO_TELEMETRY)."""
-    monkeypatch.delenv(TELEMETRY_ENV, raising=False)
+def _clean_telemetry():
+    """Each test starts with telemetry fully off (no forced registry)."""
     set_registry(None)
-    monkeypatch.setattr(registry_mod, "_ENV_DEFAULT", None)
     yield
     set_registry(None)
 
@@ -165,26 +160,10 @@ class TestActivation:
         set_registry(None)
         assert active_registry() is None
 
-    def test_env_var_builds_process_default(self, monkeypatch):
-        monkeypatch.setenv(TELEMETRY_ENV, "1")
-        first = active_registry()
-        assert first is not None
-        assert active_registry() is first  # cached, not rebuilt
-
-    def test_env_falsy_values_stay_off(self, monkeypatch):
-        for raw in ("0", "false", "off", "", "no"):
-            monkeypatch.setenv(TELEMETRY_ENV, raw)
-            assert active_registry() is None
-
-    def test_telemetry_scope_activates_and_restores(self, monkeypatch):
-        import os
-        monkeypatch.setenv(TELEMETRY_ENV, "0")
+    def test_telemetry_scope_activates_and_restores(self):
         with telemetry() as reg:
             assert active_registry() is reg
-            # Forked workers must inherit the request.
-            assert os.environ[TELEMETRY_ENV] == "1"
         assert active_registry() is None
-        assert os.environ[TELEMETRY_ENV] == "0"
 
     def test_telemetry_scope_accepts_existing_registry(self):
         mine = MetricsRegistry()

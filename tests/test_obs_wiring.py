@@ -1,9 +1,10 @@
 """Integration tests for the telemetry wiring across engine tiers.
 
 Covers the common ``to_metrics`` shape on every stats object, the
-incremental cache/retry/runner instrumentation, and the load-bearing
-guarantee: enabling telemetry never changes a single canonical record
-byte (checked against the full ``stage_parity.json`` golden set).
+incremental cache/retry/runner instrumentation, the runner's one fold
+of executed stage traces, and the load-bearing guarantee: enabling
+telemetry never changes a single canonical record byte (checked
+against the full ``stage_parity.json`` golden set).
 """
 
 import hashlib
@@ -12,15 +13,12 @@ from pathlib import Path
 
 import pytest
 
-import repro.obs.registry as registry_mod
 from repro.engine import BatchRunner, ResultCache, ScenarioSpec
-from repro.engine.cache import CacheStats
 from repro.engine.executor import execute_scenario
 from repro.engine.runner import RunStats
-from repro.faults.inject import FaultLog
+from repro.exec import profiled
 from repro.faults.retry import RetryExhausted, RetryPolicy
 from repro.obs import (
-    TELEMETRY_ENV,
     EventLog,
     MetricsRegistry,
     set_events,
@@ -39,11 +37,9 @@ REPRESENTATIVES = (0, 13, 16, 17)
 
 
 @pytest.fixture(autouse=True)
-def _clean_telemetry(monkeypatch):
-    monkeypatch.delenv(TELEMETRY_ENV, raising=False)
+def _clean_telemetry():
     set_registry(None)
     set_events(None)
-    monkeypatch.setattr(registry_mod, "_ENV_DEFAULT", None)
     yield
     set_registry(None)
     set_events(None)
@@ -77,33 +73,6 @@ class TestToMetricsCommonShape:
         assert counter_value(reg, "fault_injections_total",
                              {"kind": "chunks_dropped"}) == 4
         assert reg.histogram("engine_batch_seconds", by).count == 1
-
-    def test_cache_stats(self):
-        reg = MetricsRegistry()
-        stats = CacheStats(hits=3, misses=2, writes=2, write_retries=1)
-        stats.to_metrics(reg, backend="sqlite")
-        assert counter_value(reg, "cache_lookups_total",
-                             {"backend": "sqlite", "result": "hit"}) == 3
-        assert counter_value(reg, "cache_lookups_total",
-                             {"backend": "sqlite", "result": "miss"}) == 2
-        assert counter_value(reg, "cache_writes_total",
-                             {"backend": "sqlite"}) == 2
-        assert counter_value(reg, "cache_write_retries_total",
-                             {"backend": "sqlite"}) == 1
-
-    def test_fault_log(self):
-        reg = MetricsRegistry()
-        log = FaultLog(chunks_dropped=2, noise_bursts=1)
-        log.to_metrics(reg)
-        assert counter_value(reg, "fault_injections_total",
-                             {"kind": "chunks_dropped"}) == 2
-        assert counter_value(reg, "fault_injections_total",
-                             {"kind": "noise_bursts"}) == 1
-        # Zero-count kinds stay absent from the snapshot.
-        names = {(c["name"], tuple(sorted(c["labels"].items())))
-                 for c in reg.snapshot()["counters"]}
-        assert ("fault_injections_total",
-                (("kind", "dropouts"),)) not in names
 
     def test_session_stats(self):
         reg = MetricsRegistry()
@@ -210,6 +179,70 @@ class TestRunnerWiring:
                                   "result": "hit"}) == len(subset)
 
 
+def stage_histograms(reg, driver):
+    """``exec_stage_seconds`` series of one driver, keyed by stage."""
+    return {h["labels"]["stage"]: h for h in reg.snapshot()["histograms"]
+            if h["name"] == "exec_stage_seconds"
+            and h["labels"]["driver"] == driver}
+
+
+class TestRunnerStageFold:
+    """The runner folds each executed record's trace once, labelled by
+    the driver that produced it."""
+
+    def test_tensor_records_fold_as_per_scenario_shares(self):
+        subset = [SPECS[i] for i in (0, 1, 2, 3, 13, 17)]
+        with telemetry_session() as (reg, events):
+            with profiled(), BatchRunner(backend="tensor") as runner:
+                records = runner.run(subset).records
+            fast = [r for r in records
+                    if "batch_rows" in r.stage_trace.counters]
+            assert len(fast) == 4
+            tensor = stage_histograms(reg, "tensor")
+            assert set(tensor) == {name for r in fast
+                                   for name in r.stage_trace.timings_s}
+            for stage, series in tensor.items():
+                assert series["count"] == len(fast)
+                expected = sum(r.stage_trace.timings_s[stage]
+                               for r in fast)
+                assert series["sum"] == pytest.approx(expected, rel=1e-12)
+            # The group-wide batch_rows counter is shared out too: the
+            # total is the number of fused rows, not rows x group size.
+            assert counter_value(reg, "exec_stage_events_total",
+                                 {"event": "batch_rows",
+                                  "driver": "tensor"}) == len(fast)
+            assert stage_histograms(reg, "network")["fuse"]["count"] == 1
+            assert stage_histograms(reg, "serial")["decide"]["count"] == 1
+            timing = events.of_kind("stage_timing")
+            assert timing and all(e.fields["n_profiled"] == len(subset)
+                                  for e in timing)
+
+    def test_networked_spec_folds_as_network(self):
+        spec = SPECS[13]
+        assert spec.n_receivers > 1
+        with telemetry_session() as (reg, _):
+            with profiled(), BatchRunner() as runner:
+                record = runner.run([spec]).records[0]
+            network = stage_histograms(reg, "network")
+            assert set(network) == set(record.stage_trace.timings_s)
+            assert all(h["count"] == 1 for h in network.values())
+            assert not stage_histograms(reg, "serial")
+
+    def test_partial_cache_hit_folds_only_executed_records(self, tmp_path):
+        subset = [SPECS[i] for i in REPRESENTATIVES]
+        with profiled(), BatchRunner(cache=tmp_path / "cache") as runner:
+            runner.run(subset[:2])
+            with telemetry_session() as (reg, events):
+                result = runner.run(subset)
+        assert result.stats.cache_hits == 2
+        # Cached records keep their stored traces; none of them folds.
+        assert all(r.stage_trace is not None for r in result.records)
+        for driver in ("serial", "network"):
+            assert stage_histograms(reg, driver)["build"]["count"] == 1
+        timing = events.of_kind("stage_timing")
+        assert timing and all(e.fields["n_profiled"] == 2 for e in timing)
+
+
 class TestStreamWiring:
     def test_mux_accepts_explicit_registry(self):
         from repro.stream.session import SessionMux
@@ -276,13 +309,11 @@ class TestByteParityWithTelemetry:
 
     def test_profiled_goldens_publish_stage_histograms(self):
         # Guards against the parity tests passing vacuously: with
-        # profiling on, the serial driver must actually publish stage
-        # samples — and the bytes must still match.
-        from repro.exec import profiled
-
+        # profiling on, the runner must actually fold stage samples —
+        # and the bytes must still match.
         with telemetry_session() as (reg, _):
-            with profiled():
-                record = execute_scenario(SPECS[0])
+            with profiled(), BatchRunner() as runner:
+                record = runner.run([SPECS[0]]).records[0]
             assert self.sha(record) == ENTRIES[0]["sha256"]
             histograms = reg.snapshot()["histograms"]
             stage_series = [h for h in histograms

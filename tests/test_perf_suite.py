@@ -81,7 +81,8 @@ class TestSuiteMechanics:
 
     def test_environment_meta_recorded(self):
         report = run_suite(workloads=_tiny_workloads([]), repeats=1)
-        assert {"python", "numpy", "cpu_count"} <= report.meta.keys()
+        assert {"python", "numpy", "scipy",
+                "cpu_count"} <= report.meta.keys()
 
 
 class TestStats:
