@@ -44,7 +44,7 @@ from ..optics.reflection import effective_reflectance
 from .scene import MovingObject, PassiveScene
 from .trace import SignalTrace
 
-__all__ = ["SimulatorConfig", "ChannelSimulator"]
+__all__ = ["SimulatorConfig", "ChannelSimulator", "CapturePlan"]
 
 
 @dataclass(frozen=True)
@@ -272,18 +272,28 @@ class ChannelSimulator:
         return SignalTrace(lux, self.config.sample_rate_hz, t_start_s,
                            meta=self._meta(kind="optical"))
 
+    def capture_plan(self, duration_s: float,
+                     t_start_s: float = 0.0) -> "CapturePlan":
+        """The seed-independent half of :meth:`capture` for a window.
+
+        Runs the optics and the receiver's pre-noise stages once; the
+        plan then turns any number of noise seeds into RSS rows.
+        """
+        t = self.time_grid(duration_s, t_start_s)
+        v0, sigma = self.frontend.prepare(self.aperture_illuminance(t),
+                                          self.config.sample_rate_hz)
+        return CapturePlan(
+            frontend=self.frontend,
+            sample_rate_hz=self.config.sample_rate_hz,
+            include_noise=self.config.include_noise,
+            t_start=t_start_s, times=t, v0=v0, sigma=sigma,
+            meta=self._meta(kind="rss"),
+            noise_floor_lux=self.scene.nominal_noise_floor_lux())
+
     def capture(self, duration_s: float, t_start_s: float = 0.0) -> SignalTrace:
         """Run the scene through the receiver: RSS codes over time."""
-        t = self.time_grid(duration_s, t_start_s)
-        lux = self.aperture_illuminance(t)
-        if self.config.include_noise:
-            rng = np.random.default_rng(self.config.seed)
-        else:
-            rng = _ZeroNoise()
-        counts = self.frontend.capture(
-            lux, sample_rate_hz=self.config.sample_rate_hz, rng=rng)
-        return SignalTrace(counts.astype(float), self.config.sample_rate_hz,
-                           t_start_s, meta=self._meta(kind="rss"))
+        return self.capture_plan(duration_s, t_start_s).traces(
+            [self.config.seed])[0]
 
     def pass_window(self, margin_fraction: float = 0.3,
                     min_margin_s: float = 0.05) -> tuple[float, float]:
@@ -306,10 +316,14 @@ class ChannelSimulator:
         margin = max(min_margin_s, margin_fraction * (t1 - t0))
         return max(0.0, t0 - margin), (t1 - t0) + 2.0 * margin
 
+    def pass_plan(self, margin_fraction: float = 0.3) -> "CapturePlan":
+        """The :meth:`capture_plan` of one full pass of all objects."""
+        t_start, duration = self.pass_window(margin_fraction)
+        return self.capture_plan(duration, t_start)
+
     def capture_pass(self, margin_fraction: float = 0.3) -> SignalTrace:
         """Capture exactly one full pass of all objects."""
-        t_start, duration = self.pass_window(margin_fraction)
-        return self.capture(duration, t_start)
+        return self.pass_plan(margin_fraction).traces([self.config.seed])[0]
 
     def optical_pass(self, margin_fraction: float = 0.3) -> SignalTrace:
         """Noiseless optical waveform over one full pass."""
@@ -329,9 +343,37 @@ class ChannelSimulator:
         }
 
 
-class _ZeroNoise:
-    """An rng stand-in that produces zeros (noise-free captures)."""
+@dataclass(frozen=True)
+class CapturePlan:
+    """Everything about one capture window that does not depend on the
+    noise seed: the sample grid, the detector output before noise, its
+    noise sigma and the trace metadata.
 
-    def normal(self, loc: float = 0.0, scale: float = 1.0,
-               size=None) -> np.ndarray:
-        return np.zeros(size if size is not None else ())
+    Drivers build a plan once per optical configuration and draw one
+    RSS row per seed from it (:meth:`traces`); the rows are exactly
+    what :meth:`ChannelSimulator.capture` returns for those seeds.
+    """
+
+    frontend: ReceiverFrontEnd
+    sample_rate_hz: float
+    include_noise: bool
+    t_start: float
+    times: np.ndarray
+    v0: np.ndarray
+    sigma: np.ndarray
+    meta: dict
+    noise_floor_lux: float
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.times)
+
+    def traces(self, seeds) -> list[SignalTrace]:
+        """One RSS trace per noise seed, captured as one row stack."""
+        rngs = [np.random.default_rng(seed) if self.include_noise else None
+                for seed in seeds]
+        codes = self.frontend.digitize_rows(self.v0, self.sigma, rngs,
+                                            self.sample_rate_hz)
+        return [SignalTrace(row.astype(float), self.sample_rate_hz,
+                            self.t_start, meta=dict(self.meta))
+                for row in codes]

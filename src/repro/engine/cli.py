@@ -161,7 +161,6 @@ def _make_runner(args: argparse.Namespace) -> BatchRunner:
     return BatchRunner(workers=getattr(args, "workers", 1) or 1,
                        cache=getattr(args, "cache_dir", None) or None,
                        backend=getattr(args, "backend", "process"),
-                       dtype=getattr(args, "dtype", "float64"),
                        scenario_timeout_s=getattr(args, "timeout", None),
                        max_failures=getattr(args, "max_failures", None))
 
@@ -615,12 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="execution backend: 'process' (worker "
                               "pool) or 'tensor' (fused single-process "
                               "array passes; ignores --workers)")
-    sweep_p.add_argument("--dtype", choices=["float64", "float32"],
-                         default="float64",
-                         help="tensor-backend dtype; float64 matches "
-                              "the serial executor byte for byte, "
-                              "float32 is a faster approximation "
-                              "(bypasses the cache)")
     sweep_p.add_argument("--workers", type=int, default=1,
                          help="worker processes (default: 1, serial)")
     sweep_p.add_argument("--group-by", action="append", metavar="FIELD",

@@ -16,6 +16,12 @@ batch; the streaming runtime drives them incrementally per chunk).
 With profiling on (``REPRO_EXEC_PROFILE`` / ``--profile``) every record
 carries a :class:`repro.exec.StageTrace` of per-stage wall time.
 
+Capture is split into a seed-independent
+:class:`~repro.channel.simulator.CapturePlan` (optics and the
+pre-noise front end, timed as ``build``) and its per-seed rows (timed
+as ``simulate``).  :func:`capture_plan` keeps the one bounded plan
+cache that the serial, tensor and streaming-replay drivers share.
+
 The function is a module-level callable of one picklable argument on
 purpose: it is what :class:`repro.engine.BatchRunner` ships to worker
 processes.
@@ -24,7 +30,9 @@ processes.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import field
 from typing import Any
 
@@ -44,7 +52,7 @@ from ..channel.mobility import (
     speed_doubling_profile,
 )
 from ..channel.scene import MovingObject, PassiveScene
-from ..channel.simulator import ChannelSimulator, SimulatorConfig
+from ..channel.simulator import CapturePlan, ChannelSimulator, SimulatorConfig
 from ..core.decoder import AdaptiveThresholdDecoder, DecoderConfig
 from ..core.errors import DecodeError, PreambleNotFoundError
 from ..exec.graph import (
@@ -68,7 +76,6 @@ from ..vehicles.rooftag import TaggedCar, TwoPhaseDecoder
 from .records import (
     RecordStage,
     RunRecord,
-    bit_error_rate,
     make_record,
     outcome_stage,
 )
@@ -76,8 +83,9 @@ from .spec import ScenarioSpec, SpecIdentity, derive_seed
 
 __all__ = ["NETWORK_GRAPH", "SERIAL_GRAPH", "build_scene", "build_decoder",
            "build_frontend", "build_simulator", "build_network",
-           "capture_trace", "error_record", "execute_scenario",
-           "node_positions", "node_seed"]
+           "capture_plan", "capture_trace", "clear_plan_cache",
+           "error_record", "execute_scenario", "node_positions",
+           "node_seed"]
 
 
 _CAR_FACTORIES = {"volvo_v40": volvo_v40, "bmw_3_series": bmw_3_series}
@@ -172,6 +180,47 @@ def build_simulator(spec: ScenarioSpec) -> ChannelSimulator:
                         seed=spec.seed))
 
 
+#: Bounded LRU of pass plans, keyed by :meth:`ScenarioSpec.optical_key`.
+_PLAN_CACHE_MAX = 32
+_PLAN_CACHE: "OrderedDict[str, CapturePlan]" = OrderedDict()
+_PLAN_LOCK = threading.Lock()
+
+
+def capture_plan(spec: ScenarioSpec, key: str | None = None) -> CapturePlan:
+    """The seed-independent :class:`CapturePlan` of a spec's pass.
+
+    Every driver that captures a single-receiver pass from a spec gets
+    its plan here: specs that differ only in their noise seed share
+    one optical key, so the optics and the pre-noise front end run
+    once per key (the plans' rows do not depend on which spec built
+    them).
+
+    Args:
+        spec: the scenario (resolved or not).
+        key: ``spec.optical_key()``, when the caller already has it.
+    """
+    spec = spec.resolve()
+    if key is None:
+        key = spec.optical_key()
+    with _PLAN_LOCK:
+        plan = _PLAN_CACHE.get(key)
+        if plan is not None:
+            _PLAN_CACHE.move_to_end(key)
+            return plan
+    plan = build_simulator(spec).pass_plan()
+    with _PLAN_LOCK:
+        _PLAN_CACHE[key] = plan
+        while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
+            _PLAN_CACHE.popitem(last=False)
+    return plan
+
+
+def clear_plan_cache() -> None:
+    """Drop all cached pass plans (tests and memory-sensitive callers)."""
+    with _PLAN_LOCK:
+        _PLAN_CACHE.clear()
+
+
 def capture_trace(spec: ScenarioSpec):
     """Capture one scenario's pass as a :class:`SignalTrace`.
 
@@ -179,7 +228,8 @@ def capture_trace(spec: ScenarioSpec):
     :func:`execute_scenario`, so capture-only consumers (the streaming
     session replay) can fan it out over a process pool.
     """
-    return build_simulator(spec).capture_pass()
+    spec = spec.resolve()
+    return capture_plan(spec).traces([spec.seed])[0]
 
 
 def build_decoder(spec: ScenarioSpec):
@@ -190,11 +240,6 @@ def build_decoder(spec: ScenarioSpec):
     if spec.decoder == "two_phase":
         return TwoPhaseDecoder(decoder=adaptive)
     return adaptive
-
-
-# Backwards-compatible alias: the one BER definition now lives with
-# the records (every driver shares it through ``make_record``).
-_bit_error_rate = bit_error_rate
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +351,7 @@ class _Run:
     sent: str
     n_data_symbols: int
     profile: StageTrace | None = None
-    sim: ChannelSimulator | None = None
+    plan: CapturePlan | None = None
     trace: Any = None
     chunks: Any = None
     fault_log: FaultLog = field(default_factory=FaultLog)
@@ -316,11 +361,11 @@ class _Run:
 
 
 def _stage_build(run: _Run) -> None:
-    run.sim = build_simulator(run.spec)
+    run.plan = capture_plan(run.spec, run.spec.optical_key(run.ident))
 
 
 def _stage_simulate(run: _Run) -> None:
-    run.trace = run.sim.capture_pass()
+    run.trace = run.plan.traces([run.spec.seed])[0]
 
 
 def _has_signal_faults(run: _Run) -> bool:
@@ -652,7 +697,7 @@ def execute_scenario(spec: ScenarioSpec) -> RunRecord:
         stage=run.stage,
         n_samples=len(run.trace.samples),
         sample_rate_hz=run.trace.sample_rate_hz,
-        noise_floor_lux=run.sim.scene.nominal_noise_floor_lux(),
+        noise_floor_lux=run.plan.noise_floor_lux,
         fault_events=run.fault_log.counts(),
         elapsed_s=time.perf_counter() - started,
         stage_trace=profile,

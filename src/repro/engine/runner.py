@@ -10,9 +10,9 @@ Determinism contract: because every resolved spec carries its own seed
 and :func:`execute_scenario` touches no shared state, ``workers=N``
 produces records byte-identical (``RunRecord.canonical_json``) to
 ``workers=1`` for the same scenario list, in the same order.  The same
-contract extends to ``backend="tensor"`` with the default ``float64``
-dtype: the fused array passes of :func:`repro.tensor.execute_batch`
-reproduce the serial records byte for byte.
+contract extends to ``backend="tensor"``: the fused array passes of
+:func:`repro.tensor.execute_batch` capture from the same pass plans as
+the serial executor and reproduce its records byte for byte.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ..exec.graph import StageTrace
 from ..faults.retry import RetryPolicy
 from ..obs.events import EventLog, active_events
 from ..obs.export import publish_stage_trace
@@ -215,11 +214,6 @@ class BatchRunner:
         backend: ``"process"`` (the pool / serial path above) or
             ``"tensor"`` (:func:`repro.tensor.execute_batch` — fused
             single-process array passes; ``workers`` is ignored).
-        dtype: tensor-backend accumulation dtype.  ``"float64"``
-            (default) is byte-identical to the serial executor;
-            ``"float32"`` is a faster, deterministic approximation and
-            therefore **bypasses the result cache**, whose keys do not
-            encode the dtype.
         retry_policy: :class:`~repro.faults.RetryPolicy` governing
             worker-pool recovery after a ``BrokenProcessPool``: one
             pool attempt per allowed attempt, backoff between them,
@@ -247,7 +241,6 @@ class BatchRunner:
     def __init__(self, workers: int = 1,
                  cache: CacheBackend | str | Path | None = None,
                  chunk_size: int = 8, backend: str = "process",
-                 dtype: str = "float64",
                  retry_policy: RetryPolicy | None = None,
                  scenario_timeout_s: float | None = None,
                  max_failures: int | None = None) -> None:
@@ -260,19 +253,10 @@ class BatchRunner:
         if backend not in self.BACKENDS:
             raise ValueError(
                 f"backend must be one of {self.BACKENDS}, got {backend!r}")
-        if backend == "tensor":
-            from ..tensor.batch import DTYPES
-            if dtype not in DTYPES:
-                raise ValueError(
-                    f"dtype must be one of {DTYPES}, got {dtype!r}")
-            if scenario_timeout_s is not None:
-                raise ValueError(
-                    "scenario_timeout_s requires backend='process': the "
-                    "tensor backend's fused passes cannot be preempted")
-        elif dtype != "float64":
+        if backend == "tensor" and scenario_timeout_s is not None:
             raise ValueError(
-                "dtype is only configurable with backend='tensor', got "
-                f"{dtype!r}")
+                "scenario_timeout_s requires backend='process': the "
+                "tensor backend's fused passes cannot be preempted")
         if scenario_timeout_s is not None and scenario_timeout_s <= 0.0:
             raise ValueError(f"scenario_timeout_s must be positive, "
                              f"got {scenario_timeout_s}")
@@ -283,7 +267,6 @@ class BatchRunner:
         self.cache = cache
         self.chunk_size = chunk_size
         self.backend = backend
-        self.dtype = dtype
         self.retry_policy = retry_policy or RetryPolicy(max_attempts=2)
         self.scenario_timeout_s = scenario_timeout_s
         self.max_failures = max_failures
@@ -339,15 +322,11 @@ class BatchRunner:
             log.emit("batch_start", n_specs=len(resolved),
                      backend=self.backend, workers=self.workers)
 
-        # float32 records are approximations keyed identically to the
-        # exact float64 ones (content_hash covers the spec only), so
-        # they must neither consult nor populate the cache.
-        cache = self.cache if self.dtype == "float64" else None
-
+        cache = self.cache
         pending: list[int] = []
-        if cache is not None:
+        if self.cache is not None:
             for i, spec in enumerate(resolved):
-                hit = cache.get(spec.content_hash())
+                hit = self.cache.get(spec.content_hash())
                 if hit is not None:
                     records[i] = hit
                 else:
@@ -380,9 +359,9 @@ class BatchRunner:
             records[i] = record
             # Runner-synthesized records describe this run's executor,
             # not the scenario: never cache them.
-            if (cache is not None
+            if (self.cache is not None
                     and record.stage != RecordStage.EXECUTOR_ERROR):
-                cache.put(record)
+                self.cache.put(record)
 
         kept = [r for r in records if r is not None]
         stats = RunStats(
@@ -463,7 +442,7 @@ class BatchRunner:
         if self.backend == "tensor":
             from ..tensor.batch import execute_batch
 
-            records = execute_batch(specs, dtype=self.dtype)
+            records = execute_batch(specs)
             # The fused passes are all-or-nothing, so fail-fast can
             # only trim the already-computed tail.
             for k, record in enumerate(records):
@@ -631,21 +610,15 @@ def _fold_stage_traces(fresh: Sequence[RunRecord | None],
     cache hits (whose stored traces time an earlier run).  Each trace
     becomes one sample per stage in ``exec_stage_seconds``; a tensor
     record's trace is already its per-scenario share of the fused
-    pass, and its group-wide counters are shared out the same way.
+    pass, counters included.
     """
     profiled = [r for r in fresh if r is not None
                 and r.stage != RecordStage.EXECUTOR_ERROR
                 and r.stage_trace is not None]
     if registry is not None:
         for record in profiled:
-            trace = record.stage_trace
-            rows = trace.counters.get("batch_rows")
-            if rows:
-                trace = StageTrace(
-                    timings_s=trace.timings_s,
-                    counters={k: n / rows
-                              for k, n in trace.counters.items()})
-            publish_stage_trace(registry, trace, _stage_driver(record))
+            publish_stage_trace(registry, record.stage_trace,
+                                _stage_driver(record))
     if log is not None and profiled:
         stats = stage_stats(profiled)
         for stage, row in stats["stages"].items():

@@ -27,7 +27,8 @@ def first_order_lowpass(samples: np.ndarray, cutoff_hz: float,
     they don't pre-ring), matching analogue behaviour.
 
     Args:
-        samples: input signal.
+        samples: input signal; a stack of signals filters each row
+            along the last axis, bit for bit as one row at a time.
         cutoff_hz: -3 dB frequency, > 0.
         sample_rate_hz: sampling frequency, > 0.
 
@@ -46,8 +47,8 @@ def first_order_lowpass(samples: np.ndarray, cutoff_hz: float,
         return x.copy()
     # Bilinear-transform single pole.
     b, a = sp_signal.butter(1, cutoff_hz / (sample_rate_hz / 2.0))
-    zi = sp_signal.lfilter_zi(b, a) * x[0]
-    y, _ = sp_signal.lfilter(b, a, x, zi=zi)
+    zi = sp_signal.lfilter_zi(b, a) * x[..., :1]
+    y, _ = sp_signal.lfilter(b, a, x, axis=-1, zi=zi)
     return y
 
 
@@ -84,7 +85,8 @@ class Amplifier:
                    rail_low=0.0, rail_high=1.0, input_offset=0.0)
 
     def amplify(self, samples: np.ndarray, sample_rate_hz: float) -> np.ndarray:
-        """Amplify, band-limit and rail-clip a sampled signal."""
+        """Amplify, band-limit and rail-clip a sampled signal (or a
+        stack of them, row by row along the last axis)."""
         x = np.asarray(samples, dtype=float)
         y = first_order_lowpass(x * self.gain + self.input_offset,
                                 self.bandwidth_hz, sample_rate_hz)

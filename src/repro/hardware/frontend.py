@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -141,7 +142,8 @@ class ReceiverFrontEnd:
         The input must already be the ambient-referred illuminance at the
         aperture *after* cap attenuation has been applied by the channel
         simulator (which knows which part of the light is footprint
-        signal and which is stray ambient).
+        signal and which is stray ambient).  The capture is
+        :meth:`prepare` followed by :meth:`digitize_rows` on one row.
 
         Args:
             illuminance_lux: optical waveform at the detector (lux).
@@ -152,27 +154,67 @@ class ReceiverFrontEnd:
         Returns:
             Integer RSS codes, same length as the input.
         """
-        fs = sample_rate_hz if sample_rate_hz is not None else self.adc.sample_rate_hz
-        if fs <= 0.0:
-            raise ValueError(f"sample rate must be positive, got {fs}")
+        v0, sigma = self.prepare(illuminance_lux, sample_rate_hz)
+        if rng is None:
+            rng = np.random.default_rng(self.seed)
+        return self.digitize_rows(v0, sigma, [rng], sample_rate_hz)[0]
+
+    def prepare(self, illuminance_lux: np.ndarray,
+                sample_rate_hz: float | None = None,
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """The seed-independent half of :meth:`capture`.
+
+        Validates the waveform, band-limits it, applies the detector's
+        photoresponse and evaluates the detector noise sigma there.
+
+        Returns:
+            ``(v0, sigma)``: the noiseless detector output and its
+            per-sample noise standard deviation (normalised volts).
+        """
+        fs = self._rate(sample_rate_hz)
         e = np.asarray(illuminance_lux, dtype=float)
         if e.ndim != 1:
             raise ValueError("expected a 1-D waveform")
         if np.any(e < 0.0):
             raise ValueError("illuminance cannot be negative")
-        if rng is None:
-            rng = np.random.default_rng(self.seed)
-
         # 1. Detector photoresponse: band limit, then saturate.
         smoothed = first_order_lowpass(e, self.detector.bandwidth_hz, fs)
-        v = self.detector.respond(smoothed)
+        v0 = self.detector.respond(smoothed)
+        return v0, self.detector.noise_sigma(v0)
+
+    def digitize_rows(self, v0: np.ndarray, sigma: np.ndarray,
+                      rngs: Sequence[np.random.Generator | None],
+                      sample_rate_hz: float | None = None) -> np.ndarray:
+        """The per-seed half of :meth:`capture`, for a stack of rows.
+
+        Args:
+            v0, sigma: :meth:`prepare`'s output for the shared waveform.
+            rngs: one noise generator per output row; ``None`` draws no
+                noise for that row (the noiseless truth).
+            sample_rate_hz: sampling rate of the waveform.
+
+        Returns:
+            ``(len(rngs), len(v0))`` integer RSS codes; row ``i`` equals
+            :meth:`capture` of the same waveform with ``rngs[i]``.
+        """
+        fs = self._rate(sample_rate_hz)
+        noise = np.zeros((len(rngs), len(v0)))
+        for row, rng in zip(noise, rngs):
+            if rng is not None:
+                row[:] = rng.normal(0.0, 1.0, size=len(v0))
         # 2. Detector noise (thermal + shot), referred to the output.
-        v = v + rng.normal(0.0, 1.0, size=v.shape) * self.detector.noise_sigma(v)
-        v = np.clip(v, 0.0, 1.0)
+        v = np.clip(v0 + noise * sigma, 0.0, 1.0)
         # 3. Amplifier: gain, bandwidth, rails.
         v = self.amplifier.amplify(v, fs)
         # 4. Quantisation.
         return self.adc.convert(v)
+
+    def _rate(self, sample_rate_hz: float | None) -> float:
+        fs = (sample_rate_hz if sample_rate_hz is not None
+              else self.adc.sample_rate_hz)
+        if fs <= 0.0:
+            raise ValueError(f"sample rate must be positive, got {fs}")
+        return fs
 
     def describe(self) -> str:
         """One-line summary used in experiment reports."""

@@ -12,8 +12,8 @@ here would load the whole engine on every ``import repro.tensor``.
 
 from __future__ import annotations
 
-_BATCH_EXPORTS = ("DTYPES", "execute_batch", "optical_key",
-                  "fast_path_eligible", "clear_plan_cache")
+_BATCH_EXPORTS = ("execute_batch", "optical_key", "fast_path_eligible",
+                  "clear_plan_cache")
 
 __all__ = list(_BATCH_EXPORTS)
 

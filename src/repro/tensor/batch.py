@@ -2,54 +2,40 @@
 
 :func:`execute_batch` is the tensor-backend counterpart of the serial
 :func:`repro.engine.execute_scenario` loop.  It groups resolved specs by
-their *optical key* — the resolved spec minus the noise seed — so the
-expensive seed-independent physics (footprint kernel, pass geometry,
-aperture illuminance, detector band limiting and response, the noise
-sigma profile) is computed **once per group**, and only the per-seed
-noise draw onward runs per scenario, batched as fused ``(N, T)`` array
-passes in a single process with no pickling.
+their *optical key* — the resolved spec minus the noise seed — fetches
+the group's seed-independent :class:`~repro.channel.simulator.CapturePlan`
+once from the executor's plan cache (the same plan the serial and
+streaming drivers capture from), and draws all of the group's noise
+rows from it as one ``(N, T)`` stack in a single process with no
+pickling.
 
-The tensor path adds only that shared physics and the row stacking.
+The tensor path adds only the grouping and the row stacking.
 Decoding is the one adaptive decode kernel every driver uses,
 :func:`repro.core.decoder.decode_rows`, handed the group's whole row
 stack at once.
 
-Equivalence contract: with ``dtype="float64"`` (the default) every
-:class:`~repro.engine.records.RunRecord` is **byte-identical**
-(``canonical_json``) to the serial executor's record for the same
-resolved spec.  This holds structurally:
+Equivalence contract: every :class:`~repro.engine.records.RunRecord`
+is **byte-identical** (``canonical_json``) to the serial executor's
+record for the same resolved spec.  This holds structurally:
 
-* shared stages are seed-independent and computed with the very same
-  functions the serial path calls;
-* the per-row capture replicates the serial front-end expressions
-  element for element (IEEE arithmetic on broadcast rows equals the
-  per-row expressions), and the decode kernel's rows are independent
-  of each other;
+* the capture is the serial one: the same plan, and the front end's
+  row-wise noise → clip → amplify → ADC suffix, whose rows equal
+  one-row captures;
+* the decode kernel's rows are independent of each other;
 * specs the fast path does not cover (networked receivers, streamed
   replay, the two-phase car decoder) are delegated to
   ``execute_scenario`` unchanged, as is any group whose fast path
   raises — correctness never depends on the fast path succeeding.
-
-``dtype="float32"`` runs the per-row physics in single precision (half
-the memory traffic on the batched arrays).  Codes may differ from the
-float64 path by one ADC step on a tiny fraction of samples, so verdicts
-agree within a documented tolerance rather than byte-for-byte; the path
-stays fully deterministic (same seeds, same records on every run).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 
-import numpy as np
-
-from ..channel.trace import SignalTrace
 from ..core.decoder import DecodeResult, DecoderConfig, decode_rows
 from ..core.errors import PreambleNotFoundError
-from ..engine.executor import build_simulator, execute_scenario
+from ..engine.executor import capture_plan, clear_plan_cache, execute_scenario
 from ..engine.records import (
     RecordStage,
     RunRecord,
@@ -58,19 +44,10 @@ from ..engine.records import (
 )
 from ..engine.spec import ScenarioSpec, SpecIdentity
 from ..exec.graph import ExecStage, maybe_stage, new_trace
-from ..hardware.amplifier import first_order_lowpass
 from ..tags.packet import Packet
 
-__all__ = ["DTYPES", "execute_batch", "optical_key", "fast_path_eligible",
+__all__ = ["execute_batch", "optical_key", "fast_path_eligible",
            "clear_plan_cache"]
-
-#: Supported execution dtypes for the batched physics.
-DTYPES = ("float64", "float32")
-
-#: Bounded cache of per-group shared physics (see :class:`_GroupPlan`).
-_PLAN_CACHE_MAX = 32
-_PLAN_CACHE: "OrderedDict[str, _GroupPlan]" = OrderedDict()
-_PLAN_LOCK = threading.Lock()
 
 
 def optical_key(spec: ScenarioSpec) -> str:
@@ -95,172 +72,42 @@ def fast_path_eligible(spec: ScenarioSpec) -> bool:
             and spec.decoder == "adaptive" and spec.fault_plan is None)
 
 
-def clear_plan_cache() -> None:
-    """Drop all cached group plans (tests and memory-sensitive callers)."""
-    with _PLAN_LOCK:
-        _PLAN_CACHE.clear()
-
-
-# ----------------------------------------------------------------------
-# Shared per-group physics
-# ----------------------------------------------------------------------
-
-@dataclass
-class _GroupPlan:
-    """Everything about a group that does not depend on the seed."""
-
-    sim: object                # ChannelSimulator (caches kernel/profiles)
-    t_start: float
-    times: np.ndarray          # shared sample-time grid
-    v0: np.ndarray             # detector response before noise (float64)
-    sigma: np.ndarray          # detector noise sigma at v0 (float64)
-    noise_floor: float
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.times)
-
-
-def _build_plan(spec: ScenarioSpec) -> _GroupPlan:
-    """Run the seed-independent half of ``sim.capture_pass`` once.
-
-    Mirrors ``ChannelSimulator.capture_pass`` + the pre-noise stages of
-    ``ReceiverFrontEnd.capture`` exactly (same functions, same order),
-    stopping right before the per-seed noise draw.
-    """
-    sim = build_simulator(spec)
-    t_start, duration = sim.pass_window()
-    t = sim.time_grid(duration, t_start)
-    lux = sim.aperture_illuminance(t)
-    if lux.ndim != 1:
-        raise ValueError("expected a 1-D waveform")
-    if np.any(lux < 0.0):
-        raise ValueError("illuminance cannot be negative")
-    detector = sim.frontend.detector
-    fs = sim.config.sample_rate_hz
-    smoothed = first_order_lowpass(lux, detector.bandwidth_hz, fs)
-    v0 = detector.respond(smoothed)
-    sigma = detector.noise_sigma(v0)
-    return _GroupPlan(sim=sim, t_start=t_start, times=t, v0=v0,
-                      sigma=sigma,
-                      noise_floor=sim.scene.nominal_noise_floor_lux())
-
-
-def _plan_for(key: str, spec: ScenarioSpec) -> _GroupPlan:
-    with _PLAN_LOCK:
-        plan = _PLAN_CACHE.get(key)
-        if plan is not None:
-            _PLAN_CACHE.move_to_end(key)
-            return plan
-    plan = _build_plan(spec)
-    with _PLAN_LOCK:
-        _PLAN_CACHE[key] = plan
-        while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-            _PLAN_CACHE.popitem(last=False)
-    return plan
-
-
-# ----------------------------------------------------------------------
-# Batched capture (the per-seed half of the front end)
-# ----------------------------------------------------------------------
-
-def _capture_rows(plan: _GroupPlan, specs: list[ScenarioSpec],
-                  dtype: str) -> np.ndarray:
-    """Noise + amplifier + ADC for every row as one (R, T) pass.
-
-    float64 replicates ``ReceiverFrontEnd.capture`` bit for bit: the
-    per-row expression ``v0 + normal(seed) * sigma`` (then clip,
-    amplify, quantise) is evaluated on broadcast rows, which performs
-    the identical IEEE operations per element.
-    """
-    sim = plan.sim
-    fs = sim.config.sample_rate_hz
-    n = plan.n_samples
-    amp = sim.frontend.amplifier
-    adc = sim.frontend.adc
-    include_noise = sim.config.include_noise
-
-    if dtype == "float64":
-        if include_noise:
-            noise = np.empty((len(specs), n))
-            for i, spec in enumerate(specs):
-                rng = np.random.default_rng(spec.seed)
-                noise[i] = rng.normal(0.0, 1.0, size=n)
-            v = plan.v0[None, :] + noise * plan.sigma[None, :]
-        else:
-            # The serial path adds zeros * sigma — exactly + 0.0.
-            v = plan.v0[None, :] + np.zeros((len(specs), n))
-        v = np.clip(v, 0.0, 1.0)
-        if amp.bandwidth_hz >= fs / 2.0:
-            # The band limit is transparent at this rate (the lowpass
-            # returns a copy), so amplify reduces elementwise.
-            v = np.clip(v * amp.gain + amp.input_offset,
-                        amp.rail_low, amp.rail_high)
-        else:
-            v = np.stack([amp.amplify(row, fs) for row in v])
-        return adc.convert(v)
-
-    # float32 fast path: single-precision per-row physics.
-    f32 = np.float32
-    v0 = plan.v0.astype(f32)
-    sigma = plan.sigma.astype(f32)
-    if include_noise:
-        noise = np.empty((len(specs), n), dtype=f32)
-        for i, spec in enumerate(specs):
-            rng = np.random.default_rng(spec.seed)
-            noise[i] = rng.standard_normal(n, dtype=f32)
-        v = v0[None, :] + noise * sigma[None, :]
-    else:
-        v = np.broadcast_to(v0, (len(specs), n)).copy()
-    v = np.clip(v, f32(0.0), f32(1.0))
-    if amp.bandwidth_hz >= fs / 2.0:
-        v = np.clip(v * f32(amp.gain) + f32(amp.input_offset),
-                    f32(amp.rail_low), f32(amp.rail_high))
-    else:
-        v = np.stack([amp.amplify(row, fs) for row in v]).astype(f32)
-    codes = np.round(np.clip(v, f32(0.0), f32(adc.v_ref_fullscale))
-                     / f32(adc.lsb))
-    return codes.astype(np.int32)
-
-
 # ----------------------------------------------------------------------
 # Group execution and the public entry point
 # ----------------------------------------------------------------------
 
 def _run_group(key: str, specs: list[ScenarioSpec],
-               idents: list[SpecIdentity],
-               dtype: str) -> list[RunRecord]:
+               idents: list[SpecIdentity]) -> list[RunRecord]:
     started = time.perf_counter()
     spec0 = specs[0]
+    rows = len(specs)
     profile = new_trace()
 
     with maybe_stage(profile, ExecStage.BUILD):
-        plan = _plan_for(key, spec0)
-        sim = plan.sim
-        fs = sim.config.sample_rate_hz
+        plan = capture_plan(spec0, key)
         packet = Packet.from_bitstring(spec0.bits,
                                        symbol_width_m=spec0.symbol_width_m)
     sent = packet.bit_string()
     n_data_symbols = 2 * len(packet.data_bits)
 
     with maybe_stage(profile, ExecStage.SIMULATE):
-        codes = _capture_rows(plan, specs, dtype)
-        meta = sim._meta(kind="rss")
-        traces = [SignalTrace(codes[i].astype(float), fs, plan.t_start,
-                              meta=dict(meta))
-                  for i in range(len(specs))]
+        traces = plan.traces([spec.seed for spec in specs])
     decodes = decode_rows(
         traces, n_data_symbols,
         DecoderConfig(threshold_rule=spec0.threshold_rule),
         stage_trace=profile)
 
-    elapsed = (time.perf_counter() - started) / max(1, len(specs))
+    elapsed = (time.perf_counter() - started) / rows
     if profile is not None:
         # The group ran its fused stages once for the whole row stack;
-        # each record carries an equal per-scenario share so stage
-        # totals aggregate the same way serial traces do.
-        profile.count("batch_rows", len(specs))
-        profile = profile.scaled(1.0 / max(1, len(specs)))
+        # each record carries an equal per-scenario share of the
+        # timings and of the counters (every group counter counts once
+        # per row), so stage totals and counts aggregate the same way
+        # serial traces do.
+        profile.count("batch_rows", rows)
+        share = profile.scaled(1.0 / rows)
+        share.counters = {k: n // rows for k, n in profile.counters.items()}
+        profile = share
     records = []
     for spec, ident, result in zip(specs, idents, decodes):
         decoded = ""
@@ -279,31 +126,23 @@ def _run_group(key: str, specs: list[ScenarioSpec],
             decoded_bits=decoded,
             stage=stage,
             n_samples=plan.n_samples,
-            sample_rate_hz=fs,
-            noise_floor_lux=plan.noise_floor,
+            sample_rate_hz=plan.sample_rate_hz,
+            noise_floor_lux=plan.noise_floor_lux,
             elapsed_s=elapsed,
             stage_trace=profile,
         ))
     return records
 
 
-def execute_batch(specs, dtype: str = "float64") -> list[RunRecord]:
+def execute_batch(specs) -> list[RunRecord]:
     """Execute a batch of scenarios through the fused tensor path.
 
     Args:
         specs: iterable of :class:`ScenarioSpec` (resolved or not).
-        dtype: ``"float64"`` (bit-identical to the serial executor) or
-            ``"float32"`` (single-precision fast path; deterministic,
-            verdicts within one ADC step of the float64 path).
 
     Returns:
         One :class:`RunRecord` per spec, in submission order.
-
-    Raises:
-        ValueError: on an unknown dtype.
     """
-    if dtype not in DTYPES:
-        raise ValueError(f"dtype must be one of {DTYPES}, got {dtype!r}")
     resolved = [spec.resolve() for spec in specs]
     records: list[RunRecord | None] = [None] * len(resolved)
 
@@ -321,7 +160,7 @@ def execute_batch(specs, dtype: str = "float64") -> list[RunRecord]:
         group = [resolved[i] for i in indices]
         try:
             group_records = _run_group(
-                key, group, [idents[i] for i in indices], dtype)
+                key, group, [idents[i] for i in indices])
         except Exception:
             # Correctness never rides on the fast path: any failure —
             # degenerate geometry, a scene that raises mid-physics —

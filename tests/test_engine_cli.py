@@ -144,16 +144,11 @@ class TestSweepTensorBackend:
 
         assert load(out_p) == load(out_t)
 
-    def test_tensor_float32_runs(self, capsys):
+    def test_profile_counts_each_fused_row_once(self, capsys):
         assert main(["sweep", *FAST_SETS, "--set", "ground_lux=450",
-                     "--axis", "seed=2,3", "--backend", "tensor",
-                     "--dtype", "float32"]) == 0
-        assert "ran 2 scenarios" in capsys.readouterr().out
-
-    def test_float32_requires_tensor_backend(self, capsys):
-        assert main(["sweep", *FAST_SETS, "--axis", "seed=2,3",
-                     "--dtype", "float32"]) == 2
-        assert "tensor" in capsys.readouterr().err
+                     "--axis", "seed=0,1,2,3", "--backend", "tensor",
+                     "--profile"]) == 0
+        assert "counters: batch_rows=4" in capsys.readouterr().out
 
 
 class TestFaultPlanField:

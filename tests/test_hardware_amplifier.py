@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hardware.amplifier import Amplifier, first_order_lowpass
 
@@ -42,6 +44,22 @@ class TestLowpass:
             first_order_lowpass(np.zeros(10), 0.0, 100.0)
         with pytest.raises(ValueError):
             first_order_lowpass(np.zeros(10), 10.0, 0.0)
+
+    @given(rows=st.integers(1, 5), n=st.integers(1, 300),
+           cutoff_hz=st.sampled_from([3.0, 50.0, 400.0, 999.0, 1000.0,
+                                      5000.0, 1.0e6]),
+           seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_per_row_filter(self, rows, n, cutoff_hz, seed):
+        """Filtering an (R, T) stack along the last axis is bit for bit
+        the per-row filter, at cutoffs below and above Nyquist (2 kS/s
+        here, so 1 kHz and up are transparent)."""
+        x = np.random.default_rng(seed).uniform(0.0, 2.0, size=(rows, n))
+        stacked = first_order_lowpass(x, cutoff_hz, 2000.0)
+        assert stacked.shape == x.shape
+        for got, row in zip(stacked, x):
+            assert np.array_equal(got, first_order_lowpass(row, cutoff_hz,
+                                                           2000.0))
 
 
 class TestAmplifier:

@@ -1,11 +1,10 @@
 """Tests for repro.tensor.batch — the fused cross-scenario executor.
 
-The headline contract is byte-identity: with ``dtype="float64"`` every
-record out of :func:`execute_batch` must serialize to exactly the same
+The headline contract is byte-identity: every record out of
+:func:`execute_batch` must serialize to exactly the same
 ``canonical_json`` as the serial :func:`execute_scenario` — across the
 bench grid, every registered scenario family, and hypothesis-drawn
-specs.  The float32 path trades that for speed and is held to a weaker
-(but still deterministic) contract.
+specs.  Both drivers capture from the executor's one plan cache.
 """
 
 import time
@@ -16,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.decoder as decoder_mod
-import repro.tensor.batch as batch_mod
+import repro.engine.executor as executor_mod
 from repro.dsp.peaks import Extremum, _first_triple, first_preamble_points
 from repro.engine.cache import ResultCache
 from repro.engine.executor import execute_scenario
@@ -74,37 +73,6 @@ class TestFloat64ByteIdentity:
         _assert_byte_identical(expand_grid(template, {"seed": seeds}))
 
 
-class TestFloat32:
-    def test_deterministic_across_runs(self):
-        specs = expand_grid(FAST, {"seed": [2, 3, 4, 5]})
-        first = [r.canonical_json()
-                 for r in execute_batch(specs, dtype="float32")]
-        clear_plan_cache()
-        second = [r.canonical_json()
-                  for r in execute_batch(specs, dtype="float32")]
-        assert first == second
-
-    def test_verdicts_track_float64_within_tolerance(self):
-        # float32 codes can differ from float64 by one ADC step, which
-        # may flip a scenario sitting right on a symbol margin; the
-        # documented tolerance is that away from the SNR cliff the
-        # overwhelming majority of verdicts agree.
-        specs = expand_grid(FAST.replace(ground_lux=600.0),
-                            {"seed": list(range(2, 14))})
-        f64 = execute_batch(specs, dtype="float64")
-        f32 = execute_batch(specs, dtype="float32")
-        agree = sum(a.stage == b.stage and a.success == b.success
-                    for a, b in zip(f64, f32))
-        assert agree >= len(specs) - 2
-        # Structure is unchanged either way.
-        assert all(a.n_samples == b.n_samples
-                   for a, b in zip(f64, f32))
-
-    def test_unknown_dtype_rejected(self):
-        with pytest.raises(ValueError, match="dtype"):
-            execute_batch([FAST], dtype="float16")
-
-
 class TestGrouping:
     def test_optical_key_drops_seed(self):
         a = FAST.replace(seed=1).resolve()
@@ -125,7 +93,7 @@ class TestGrouping:
         clear_plan_cache()
         execute_batch(expand_grid(FAST, {"ground_lux": [450.0, 440.0],
                                          "seed": [2, 3, 4]}))
-        assert len(batch_mod._PLAN_CACHE) == 2
+        assert len(executor_mod._PLAN_CACHE) == 2
 
     def test_eligibility_gates(self):
         assert fast_path_eligible(FAST.resolve())
@@ -140,6 +108,50 @@ class TestGrouping:
         specs = [FAST.replace(n_receivers=3).resolve(),
                  FAST.replace(stream_chunk=64).resolve()]
         _assert_byte_identical(specs)
+
+
+class TestPlanCache:
+    """The serial, tensor and streaming drivers share one plan cache."""
+
+    def test_serial_records_identical_cold_and_warm(self):
+        specs = expand_grid(FAST, {"ground_lux": [450.0, 100.0],
+                                   "seed": [2, 3]})
+        clear_plan_cache()
+        cold = [execute_scenario(s).canonical_json() for s in specs]
+        assert len(executor_mod._PLAN_CACHE) == 2
+        warm = [execute_scenario(s).canonical_json() for s in specs]
+        clear_plan_cache()
+        assert [execute_scenario(s).canonical_json()
+                for s in specs] == cold == warm
+
+    def test_serial_after_tensor_builds_no_plan(self, monkeypatch):
+        clear_plan_cache()
+        execute_batch(expand_grid(FAST, {"seed": [2, 3, 4]}))
+        built = []
+        real = executor_mod.build_simulator
+
+        def counting_build(spec):
+            built.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(executor_mod, "build_simulator", counting_build)
+        record = execute_scenario(FAST.replace(seed=9))
+        assert built == []
+        assert len(executor_mod._PLAN_CACHE) == 1
+        clear_plan_cache()
+        assert record.canonical_json() == execute_scenario(
+            FAST.replace(seed=9)).canonical_json()
+        assert len(built) == 1
+
+    def test_capture_trace_shares_the_plan(self):
+        clear_plan_cache()
+        execute_batch([FAST])
+        trace = executor_mod.capture_trace(FAST.replace(seed=11))
+        assert len(executor_mod._PLAN_CACHE) == 1
+        clear_plan_cache()
+        fresh = executor_mod.capture_trace(FAST.replace(seed=11))
+        assert np.array_equal(trace.samples, fresh.samples)
+        assert trace.meta == fresh.meta
 
 
 def _literal_first_triple(extrema):
@@ -224,21 +236,11 @@ class TestRunnerIntegration:
         result = BatchRunner(workers=1, cache=cache).run(specs)
         assert result.stats.cache_hits == len(specs)
 
-    def test_float32_bypasses_cache(self, tmp_path):
-        specs = expand_grid(FAST, {"seed": [2, 3]})
-        cache = ResultCache(tmp_path / "cache")
-        runner = BatchRunner(backend="tensor", dtype="float32",
-                             cache=cache)
-        runner.run(specs)
-        again = runner.run(specs)
-        # Nothing was stored, nothing is served.
-        assert again.stats.cache_hits == 0
-        assert BatchRunner(cache=cache).run(specs).stats.cache_hits == 0
-
     def test_dtype_validation(self):
-        with pytest.raises(ValueError):
-            BatchRunner(backend="tensor", dtype="float16")
-        with pytest.raises(ValueError):
-            BatchRunner(dtype="float32")  # process backend
+        # There is one capture precision: the dtype knob is gone.
+        with pytest.raises(TypeError):
+            BatchRunner(backend="tensor", dtype="float32")
+        with pytest.raises(TypeError):
+            execute_batch([FAST], dtype="float32")
         with pytest.raises(ValueError):
             BatchRunner(backend="gpu")
